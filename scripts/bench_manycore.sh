@@ -6,8 +6,10 @@
 #
 # The build must be a Release build: the script refuses any other
 # CMAKE_BUILD_TYPE (scaling numbers from debug-ish builds are not
-# comparable), and it records/validates library_build_type in the
-# emitted JSON context.
+# comparable). It stamps the JSON context with the build type, git
+# sha, compiler and CPU count (smtsim_* keys,
+# scripts/bench_common.sh) and checks the stamp with
+# scripts/check_bench_json.py.
 #
 # Also guards the parallel-host promise: on the 16-core machine the
 # 4-host-thread row must reach at least SMTSIM_BENCH_MC_EFF
@@ -33,43 +35,19 @@ if [ ! -x "$build/bench/bench_manycore" ]; then
     exit 1
 fi
 
-# Refuse non-Release builds up front: the benchmark binary cannot
-# tell how the library it links was compiled, so read the build
-# type straight out of the CMake cache.
-if [ ! -f "$build/CMakeCache.txt" ]; then
-    echo "bench guard: $build/CMakeCache.txt not found (not a CMake build dir?)" >&2
-    exit 1
-fi
-build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build/CMakeCache.txt")
-if [ "$build_type" != "Release" ]; then
-    echo "bench guard: $build is a '${build_type:-<unset>}' build;" \
-         "many-core scaling numbers are only meaningful from a" \
-         "Release build:" >&2
-    echo "    cmake -B build-release -DCMAKE_BUILD_TYPE=Release &&" \
-         "cmake --build build-release --target bench_manycore" >&2
-    exit 1
-fi
+. "$(dirname "$0")/bench_common.sh"
+bench_require_release "$build" "many-core scaling" bench_manycore
 
 "$build/bench/bench_manycore" \
     --benchmark_min_time="$min_time" \
     --benchmark_out="$out" \
     --benchmark_out_format=json \
-    --benchmark_context=library_build_type=Release
+    --benchmark_context="$(bench_context "$build")"
 
 # The context we just asked for must actually be in the artifact, so
 # downstream consumers can trust any BENCH_manycore.json handed to
 # them.
-python3 - "$out" <<'EOF'
-import json
-import sys
-
-out = sys.argv[1]
-ctx = json.load(open(out))["context"]
-lbt = ctx.get("library_build_type")
-if lbt != "Release":
-    sys.exit(f"bench guard: {out} context.library_build_type is "
-             f"{lbt!r}, expected 'Release'")
-EOF
+python3 "$(dirname "$0")/check_bench_json.py" "$out"
 
 echo "wrote $out" >&2
 

@@ -42,13 +42,37 @@ Program::insnAt(Addr addr) const
     return decode(text[(addr - text_base) / kInsnBytes]);
 }
 
+CoreOp
+makeCoreOp(const Insn &insn)
+{
+    CoreOp op;
+    op.insn = insn;
+    op.nsrc = static_cast<std::uint8_t>(insn.srcs(op.src));
+    for (int i = 0; i < op.nsrc; ++i)
+        op.srcs |= std::uint64_t{1} << flatReg(op.src[i]);
+    op.dst = insn.dst();
+    if (op.dst.valid() && !(op.dst.file == RF::Int && op.dst.idx == 0))
+        op.dsts = std::uint64_t{1} << flatReg(op.dst);
+    const OpMeta &meta = opMeta(insn.op);
+    op.fu = meta.fu;
+    op.issue_latency = static_cast<std::uint8_t>(meta.issue_latency);
+    op.result_latency = static_cast<std::uint8_t>(meta.result_latency);
+    op.branch = isBranchOp(insn.op);
+    op.control = op.branch || isThreadCtlOp(insn.op);
+    op.mem = isMemOp(insn.op);
+    op.priority = isPriorityGatedOp(insn.op);
+    op.drains = insn.op == Op::KILLT || insn.op == Op::HALT ||
+                insn.op == Op::FASTFORK || insn.op == Op::CHGPRI;
+    return op;
+}
+
 PredecodedText::PredecodedText(const Program &prog)
     : base_(prog.text_base),
       size_bytes_(static_cast<Addr>(prog.text.size()) * kInsnBytes)
 {
-    insns_.reserve(prog.text.size());
+    ops_.reserve(prog.text.size());
     for (std::uint32_t word : prog.text)
-        insns_.push_back(decode(word));
+        ops_.push_back(makeCoreOp(decode(word)));
 }
 
 void

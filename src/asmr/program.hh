@@ -103,15 +103,62 @@ struct Program
     static Program load(std::istream &is);
 };
 
+/** Bit of register @p ref in a 64-bit mask over both register
+ *  files: integer registers 0-31, FP registers 32-63. */
+inline int
+flatReg(RegRef ref)
+{
+    return ref.idx + (ref.file == RF::Fp ? kNumRegs : 0);
+}
+
+/**
+ * Everything the pipeline models ask of one static instruction,
+ * derived once when the text segment is decoded (the per-opcode
+ * attribute-table idea, per instruction). The timing models' issue
+ * checks read these fields instead of re-deriving Insn::srcs()/dst()
+ * on every attempt.
+ */
+struct CoreOp
+{
+    Insn insn;
+    /** Source registers as flatReg() bits; integer r0 (hardwired
+     *  zero) never appears. */
+    std::uint64_t srcs = 0;
+    /** Destination register as a flatReg() bit; 0 for none or r0. */
+    std::uint64_t dsts = 0;
+    /** Destination register (invalid for none; may be r0). */
+    RegRef dst;
+    /** Sources in Insn::srcs() order with repeats: a queue-mapped
+     *  register named twice is popped twice. */
+    RegRef src[3];
+    std::uint8_t nsrc = 0;
+    FuClass fu = FuClass::None;
+    std::uint8_t issue_latency = 0;
+    std::uint8_t result_latency = 0;
+    /** Branch or thread control: executes in the decode unit. */
+    bool control = false;
+    bool branch = false;
+    bool mem = false;
+    /** Priority-gated (CHGPRI, KILLT, priority stores). */
+    bool priority = false;
+    /** Waits until the slot's issued ops are granted (KILLT, HALT,
+     *  FASTFORK, CHGPRI). */
+    bool drains = false;
+};
+
+/** Derive the CoreOp of @p insn. */
+CoreOp makeCoreOp(const Insn &insn);
+
 /**
  * Decoded view of a program's text segment.
  *
  * Program::insnAt runs the full decoder on every call, which is
  * fine for cold paths (disassembly, trap re-decode) but far too
  * expensive once per dynamic fetch. Engines build one of these at
- * construction: the whole text segment is decoded exactly once and
- * the dynamic path becomes a bounds-checked array index. at() keeps
- * insnAt's fatal-on-stray-fetch contract bit for bit.
+ * construction: the whole text segment is decoded exactly once, into
+ * one CoreOp per instruction, and the dynamic path becomes a
+ * bounds-checked array index. at() and op() keep insnAt's
+ * fatal-on-stray-fetch contract bit for bit.
  */
 class PredecodedText
 {
@@ -119,26 +166,40 @@ class PredecodedText
     PredecodedText() = default;
     explicit PredecodedText(const Program &prog);
 
-    /** Decoded instruction at @p addr; fatal outside the text
-     *  segment (same contract as Program::insnAt). */
-    const Insn &
-    at(Addr addr) const
+    /** Decoded op at @p addr; fatal outside the text segment (same
+     *  contract as Program::insnAt). */
+    const CoreOp &
+    op(Addr addr) const
     {
         // One unsigned compare covers addr < base_ too (wraps big).
         const Addr off = addr - base_;
         if (off >= size_bytes_ || off % kInsnBytes != 0)
             badFetch(addr);
-        return insns_[off / kInsnBytes];
+        return ops_[off / kInsnBytes];
     }
 
-    std::size_t size() const { return insns_.size(); }
+    /** Decoded instruction at @p addr (same contract as op()). */
+    const Insn &at(Addr addr) const { return op(addr).insn; }
+
+    /** Op at @p addr, or nullptr outside the text segment (for
+     *  readers of untrusted addresses, such as checkpoints). */
+    const CoreOp *
+    find(Addr addr) const
+    {
+        const Addr off = addr - base_;
+        if (off >= size_bytes_ || off % kInsnBytes != 0)
+            return nullptr;
+        return &ops_[off / kInsnBytes];
+    }
+
+    std::size_t size() const { return ops_.size(); }
 
   private:
     [[noreturn]] void badFetch(Addr addr) const;
 
     Addr base_ = 0;
     Addr size_bytes_ = 0;
-    std::vector<Insn> insns_;
+    std::vector<CoreOp> ops_;
 };
 
 } // namespace smtsim

@@ -1,6 +1,7 @@
 #include "baseline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "base/logging.hh"
 #include "isa/dataop.hh"
@@ -9,24 +10,6 @@
 
 namespace smtsim
 {
-
-namespace
-{
-
-/** Bit mask helpers over one register file. */
-inline bool
-inMask(std::uint32_t mask, RegIndex idx)
-{
-    return (mask >> idx) & 1u;
-}
-
-inline void
-addMask(std::uint32_t &mask, RegIndex idx)
-{
-    mask |= 1u << idx;
-}
-
-} // namespace
 
 BaselineProcessor::BaselineProcessor(const Program &prog,
                                      MainMemory &mem,
@@ -100,42 +83,14 @@ BaselineProcessor::emitSimple(obs::EventKind kind, Cycle c, Addr pc,
     sink_->event(ev);
 }
 
-Cycle &
-BaselineProcessor::clearCycleOf(RegRef ref)
-{
-    // thread_local: simulations run concurrently under smtsim::lab.
-    thread_local Cycle dummy;
-    if (ref.file == RF::Fp)
-        return fclear_[ref.idx];
-    if (ref.idx == 0) {
-        dummy = 0;
-        return dummy;
-    }
-    return iclear_[ref.idx];
-}
-
-Cycle
-BaselineProcessor::clearCycleOf(RegRef ref) const
-{
-    if (ref.file == RF::Fp)
-        return fclear_[ref.idx];
-    return ref.idx == 0 ? 0 : iclear_[ref.idx];
-}
-
 bool
-BaselineProcessor::srcsReady(const Insn &insn, Cycle c,
-                             std::uint32_t pending_w_int,
-                             std::uint32_t pending_w_fp) const
+BaselineProcessor::srcsReady(const CoreOp &op, Cycle c,
+                             std::uint64_t pending_writes) const
 {
-    RegRef srcs[3];
-    const int n = insn.srcs(srcs);
-    for (int i = 0; i < n; ++i) {
-        if (clearCycleOf(srcs[i]) >= c)
-            return false;
-        const std::uint32_t mask = srcs[i].file == RF::Fp
-                                       ? pending_w_fp
-                                       : pending_w_int;
-        if (inMask(mask, srcs[i].idx))
+    if (op.srcs & pending_writes)
+        return false;
+    for (std::uint64_t m = op.srcs; m != 0; m &= m - 1) {
+        if (clear_[std::countr_zero(m)] >= c)
             return false;
     }
     return true;
@@ -153,8 +108,9 @@ BaselineProcessor::freeUnit(FuClass cls, Cycle c) const
 }
 
 void
-BaselineProcessor::issueDataOp(const Insn &insn, Cycle c, int unit)
+BaselineProcessor::issueDataOp(const CoreOp &op, Cycle c, int unit)
 {
+    const Insn &insn = op.insn;
     OperandValues ops;
     ops.rs_i = iregs_[insn.rs];
     ops.rt_i = iregs_[insn.rt];
@@ -162,30 +118,28 @@ BaselineProcessor::issueDataOp(const Insn &insn, Cycle c, int unit)
     ops.rt_f = fregs_[insn.rt];
     const DataResult r = execDataOp(insn, ops);
 
-    const RegRef dst = insn.dst();
-    if (dst.file == RF::Fp) {
-        fregs_[dst.idx] = r.fval;
-    } else if (dst.idx != 0) {
-        iregs_[dst.idx] = r.ival;
-    }
-    const OpMeta &meta = opMeta(insn.op);
-    const Cycle clear = c + static_cast<Cycle>(meta.result_latency);
-    clearCycleOf(dst) = clear;
+    if (op.dst.file == RF::Fp)
+        fregs_[op.dst.idx] = r.fval;
+    else if (op.dst.idx != 0)
+        iregs_[op.dst.idx] = r.ival;
+    const Cycle clear = c + op.result_latency;
+    if (op.dsts)
+        clear_[flatReg(op.dst)] = clear;
     last_activity_ = std::max(last_activity_, clear);
 
-    const int cls = static_cast<int>(meta.fu);
-    fu_free_[cls][unit] = c + static_cast<Cycle>(meta.issue_latency);
+    const int cls = static_cast<int>(op.fu);
+    fu_free_[cls][unit] = c + op.issue_latency;
     ++stats_.fu_grants[cls];
-    stats_.fu_busy[cls] += meta.issue_latency;
-    stats_.unit_busy[cls][unit] += meta.issue_latency;
+    stats_.fu_busy[cls] += op.issue_latency;
+    stats_.unit_busy[cls][unit] += op.issue_latency;
 }
 
 void
-BaselineProcessor::issueMemOp(const Insn &insn, Cycle c, int unit)
+BaselineProcessor::issueMemOp(const CoreOp &op, Cycle c, int unit)
 {
+    const Insn &insn = op.insn;
     const Addr addr =
         iregs_[insn.rs] + static_cast<std::uint32_t>(insn.imm);
-    const OpMeta &meta = opMeta(insn.op);
 
     switch (insn.op) {
       case Op::LW:
@@ -211,30 +165,30 @@ BaselineProcessor::issueMemOp(const Insn &insn, Cycle c, int unit)
         panic("issueMemOp: not a memory op");
     }
 
-    const RegRef dst = insn.dst();
-    if (dst.valid()) {
-        const Cycle clear =
-            c + static_cast<Cycle>(meta.result_latency);
-        clearCycleOf(dst) = clear;
+    if (op.dst.valid()) {
+        const Cycle clear = c + op.result_latency;
+        if (op.dsts)
+            clear_[flatReg(op.dst)] = clear;
         last_activity_ = std::max(last_activity_, clear);
     }
 
     const int cls = static_cast<int>(FuClass::LoadStore);
-    fu_free_[cls][unit] = c + static_cast<Cycle>(meta.issue_latency);
+    fu_free_[cls][unit] = c + op.issue_latency;
     ++stats_.fu_grants[cls];
-    stats_.fu_busy[cls] += meta.issue_latency;
-    stats_.unit_busy[cls][unit] += meta.issue_latency;
+    stats_.fu_busy[cls] += op.issue_latency;
+    stats_.unit_busy[cls][unit] += op.issue_latency;
 }
 
 Cycle
 BaselineProcessor::nextIssueEventCycle(Cycle c) const
 {
+    // Only registers the frozen window names can flip a comparison.
+    std::uint64_t regs = 0;
+    for (const WindowEntry &e : window_)
+        regs |= e.op->srcs | e.op->dsts;
     Cycle ev = kNeverCycle;
-    for (Cycle v : iclear_) {
-        if (v >= c && v != kNeverCycle)
-            ev = std::min(ev, v + 1);
-    }
-    for (Cycle v : fclear_) {
+    for (; regs != 0; regs &= regs - 1) {
+        const Cycle v = clear_[std::countr_zero(regs)];
         if (v >= c && v != kNeverCycle)
             ev = std::min(ev, v + 1);
     }
@@ -261,7 +215,7 @@ BaselineProcessor::resolveBranch(const Insn &insn, Addr pc, Cycle c)
         break;
       case Op::JAL:
         iregs_[31] = pc + kInsnBytes;
-        iclear_[31] = c;
+        clear_[31] = c;
         next = (pc & 0xf0000000u) |
                (static_cast<std::uint32_t>(insn.imm) << 2);
         break;
@@ -271,7 +225,7 @@ BaselineProcessor::resolveBranch(const Insn &insn, Addr pc, Cycle c)
       case Op::JALR:
         if (insn.rd != 0) {
             iregs_[insn.rd] = pc + kInsnBytes;
-            iclear_[insn.rd] = c;
+            clear_[insn.rd] = c;
         }
         next = a;
         break;
@@ -291,7 +245,7 @@ BaselineProcessor::refillWindow()
            fetch_pc_ < prog_.textEnd()) {
         WindowEntry e;
         e.pc = fetch_pc_;
-        e.insn = text_.at(fetch_pc_);
+        e.op = &text_.op(fetch_pc_);
         fetch_pc_ += kInsnBytes;
         window_.push_back(e);
     }
@@ -328,44 +282,45 @@ BaselineProcessor::run()
         int issues = 0;
         bool mem_blocked = false;
         bool flushed = false;
-        std::uint32_t pr_int = 0, pr_fp = 0;   // pending reads
-        std::uint32_t pw_int = 0, pw_fp = 0;   // pending writes
-        done_.assign(window_.size(), 0);
-        std::vector<char> &done = done_;
+        std::uint64_t pending_reads = 0, pending_writes = 0;
+        // Issued entries leave the window; the rest are compacted
+        // in order as the scan goes.
+        const std::size_t n = window_.size();
+        std::size_t keep = 0;
+        std::size_t i = 0;
 
-        for (size_t i = 0;
-             i < window_.size() && issues < cfg_.width; ++i) {
-            const Insn &insn = window_[i].insn;
+        for (; i < n && issues < cfg_.width; ++i) {
+            const WindowEntry entry = window_[i];
+            const CoreOp &op = *entry.op;
+            const Insn &insn = op.insn;
             const bool front =
-                pr_int == 0 && pr_fp == 0 && pw_int == 0 &&
-                pw_fp == 0 && !mem_blocked;
+                pending_reads == 0 && pending_writes == 0 &&
+                !mem_blocked;
 
             // Control instructions resolve in order, at the front
             // of the window only.
-            if (insn.isBranch() || insn.isThreadCtl()) {
+            if (op.control) {
                 if (!front)
                     break;
-                if (insn.isBranch()) {
-                    if (!srcsReady(insn, c, 0, 0))
+                if (op.branch) {
+                    if (!srcsReady(op, c, 0))
                         break;
                     const Addr target =
-                        resolveBranch(insn, window_[i].pc, c);
+                        resolveBranch(insn, entry.pc, c);
                     ++stats_.instructions;
                     ++issues;
                     if (sink_) {
                         emitSimple(obs::EventKind::Issue, c,
-                                   window_[i].pc, insn);
+                                   entry.pc, insn);
                     }
                     // Predict-not-taken: the sequential stream
                     // continues for free; a taken branch flushes
                     // and pays the 4-cycle gap.
-                    if (target == window_[i].pc + kInsnBytes) {
-                        done[i] = 1;
+                    if (target == entry.pc + kInsnBytes)
                         continue;
-                    }
                     if (sink_) {
                         emitSimple(obs::EventKind::Branch, c,
-                                   window_[i].pc, insn, target);
+                                   entry.pc, insn, target);
                     }
                     window_.clear();
                     fetch_pc_ = target;
@@ -382,62 +337,49 @@ BaselineProcessor::run()
                     stats_.finished = true;
                     if (sink_) {
                         emitSimple(obs::EventKind::Issue, c,
-                                   window_[i].pc, insn);
+                                   entry.pc, insn);
                         emitSimple(obs::EventKind::Halt, c,
-                                   window_[i].pc, insn);
+                                   entry.pc, insn);
                     }
                     break;
                 }
-                if (insn.op == Op::TID || insn.op == Op::NSLOT) {
-                    const RegRef dst = insn.dst();
-                    if (clearCycleOf(dst) >= c)
+                if ((insn.op == Op::TID || insn.op == Op::NSLOT) &&
+                    op.dsts) {
+                    Cycle &clear = clear_[flatReg(op.dst)];
+                    if (clear >= c)
                         break;
-                    if (dst.idx != 0) {
-                        iregs_[dst.idx] =
-                            insn.op == Op::NSLOT ? 1 : 0;
-                        clearCycleOf(dst) = c;
-                    }
+                    iregs_[op.dst.idx] = insn.op == Op::NSLOT ? 1 : 0;
+                    clear = c;
                 }
                 // FASTFORK/CHGPRI/KILLT/QEN/QDIS/SETRMODE/NOP are
                 // no-ops on the sequential machine.
                 ++stats_.instructions;
                 ++issues;
                 if (sink_) {
-                    emitSimple(obs::EventKind::Issue, c,
-                               window_[i].pc, insn);
+                    emitSimple(obs::EventKind::Issue, c, entry.pc,
+                               insn);
                 }
-                done[i] = 1;
                 continue;
             }
 
             // Data / memory instruction.
             bool issuable =
-                srcsReady(insn, c, pw_int, pw_fp);
-            const RegRef dst = insn.dst();
-            if (issuable && dst.valid()) {
-                const std::uint32_t pr =
-                    dst.file == RF::Fp ? pr_fp : pr_int;
-                const std::uint32_t pw =
-                    dst.file == RF::Fp ? pw_fp : pw_int;
-                if (clearCycleOf(dst) >= c || inMask(pr, dst.idx) ||
-                    inMask(pw, dst.idx)) {
-                    issuable = false;
-                }
-            }
-            if (issuable && insn.isMem() && mem_blocked)
-                issuable = false;
+                srcsReady(op, c, pending_writes) &&
+                !(op.dsts & (pending_reads | pending_writes)) &&
+                !(op.dsts && clear_[flatReg(op.dst)] >= c) &&
+                !(op.mem && mem_blocked);
 
             int unit = -1;
             if (issuable) {
-                unit = freeUnit(opMeta(insn.op).fu, c);
+                unit = freeUnit(op.fu, c);
                 issuable = unit >= 0;
             }
 
             if (issuable) {
-                if (insn.isMem())
-                    issueMemOp(insn, c, unit);
+                if (op.mem)
+                    issueMemOp(op, c, unit);
                 else
-                    issueDataOp(insn, c, unit);
+                    issueDataOp(op, c, unit);
                 ++stats_.instructions;
                 ++issues;
                 if (sink_) {
@@ -445,49 +387,33 @@ BaselineProcessor::run()
                     ev.cycle = c;
                     ev.kind = obs::EventKind::Grant;
                     ev.slot = 0;
-                    ev.fu = static_cast<std::int8_t>(
-                        opMeta(insn.op).fu);
+                    ev.fu = static_cast<std::int8_t>(op.fu);
                     ev.unit = static_cast<std::int16_t>(unit);
-                    ev.pc = window_[i].pc;
+                    ev.pc = entry.pc;
                     ev.insn = encode(insn);
                     sink_->event(ev);
                 }
-                done[i] = 1;
             } else {
                 // Entry stays; record its hazards for later entries.
-                RegRef srcs[3];
-                const int n = insn.srcs(srcs);
-                for (int s = 0; s < n; ++s) {
-                    if (srcs[s].file == RF::Fp)
-                        addMask(pr_fp, srcs[s].idx);
-                    else
-                        addMask(pr_int, srcs[s].idx);
-                }
-                if (dst.valid()) {
-                    if (dst.file == RF::Fp)
-                        addMask(pw_fp, dst.idx);
-                    else if (dst.idx != 0)
-                        addMask(pw_int, dst.idx);
-                }
-                if (insn.isMem())
-                    mem_blocked = true;
+                pending_reads |= op.srcs;
+                pending_writes |= op.dsts;
+                mem_blocked |= op.mem;
+                window_[keep++] = entry;
             }
         }
 
         if (!flushed && running_) {
-            // Compact the window, keeping unissued entries in order.
-            size_t w = 0;
-            for (size_t i = 0; i < window_.size(); ++i) {
-                if (!done[i])
-                    window_[w++] = window_[i];
-            }
-            window_.resize(w);
+            // Keep unissued entries (and the unexamined tail) in
+            // order.
+            for (; i < n; ++i)
+                window_[keep++] = window_[i];
+            window_.resize(keep);
         }
 
         if (cfg_.fast_forward && running_ && !flushed && issues == 0) {
             // Nothing issued and nothing flushed: the window and all
             // hazard state are frozen, and every blocking comparison
-            // (clearCycleOf >= c, fu_free <= c) is monotonic in c,
+            // (clear_ >= c, fu_free <= c) is monotonic in c,
             // so the cycles up to the earliest flip point replay this
             // one exactly. An exhausted window never issues again:
             // jump straight to the budget, matching the naive spin.

@@ -91,23 +91,20 @@ class BaselineProcessor
   private:
     struct WindowEntry
     {
-        Insn insn;
+        const CoreOp *op = nullptr;
         Addr pc = 0;
     };
 
-    /** True iff every source of @p insn is readable in cycle @p c. */
-    bool srcsReady(const Insn &insn, Cycle c,
-                   std::uint32_t pending_w_int,
-                   std::uint32_t pending_w_fp) const;
-
-    Cycle &clearCycleOf(RegRef ref);
-    Cycle clearCycleOf(RegRef ref) const;
+    /** True iff every source of @p op is readable in cycle @p c and
+     *  none is written by an older waiting entry. */
+    bool srcsReady(const CoreOp &op, Cycle c,
+                   std::uint64_t pending_writes) const;
 
     /** Find a unit of @p cls free in cycle @p c (or -1). */
     int freeUnit(FuClass cls, Cycle c) const;
 
-    void issueDataOp(const Insn &insn, Cycle c, int unit);
-    void issueMemOp(const Insn &insn, Cycle c, int unit);
+    void issueDataOp(const CoreOp &op, Cycle c, int unit);
+    void issueMemOp(const CoreOp &op, Cycle c, int unit);
     /** @return new next-PC after the branch. */
     Addr resolveBranch(const Insn &insn, Addr pc, Cycle c);
 
@@ -115,10 +112,11 @@ class BaselineProcessor
 
     /**
      * Earliest cycle after @p c at which any issue-blocking
-     * comparison (register clear cycle, FU free cycle) can change
-     * its outcome; kNeverCycle when nothing is pending. Only valid
-     * right after a cycle that issued nothing: until that cycle,
-     * the window contents and all hazard state are frozen.
+     * comparison (clear cycle of a register the window names, FU
+     * free cycle) can change its outcome; kNeverCycle when nothing
+     * is pending. Only valid right after a cycle that issued
+     * nothing: until that cycle, the window contents and all hazard
+     * state are frozen.
      */
     Cycle nextIssueEventCycle(Cycle c) const;
 
@@ -130,16 +128,14 @@ class BaselineProcessor
 
     std::array<std::uint32_t, kNumRegs> iregs_{};
     std::array<double, kNumRegs> fregs_{};
-    std::array<Cycle, kNumRegs> iclear_{};
-    std::array<Cycle, kNumRegs> fclear_{};
+    /** Result-clear cycle per register, indexed by flatReg()
+     *  (integer r0, hardwired, stays 0). */
+    std::array<Cycle, 2 * kNumRegs> clear_{};
 
     /** Per-class, per-unit earliest cycle the unit accepts again. */
     std::array<std::vector<Cycle>, kNumFuClasses> fu_free_;
 
     std::vector<WindowEntry> window_;
-    /** Scratch for the per-cycle issued-entry marks (reused so the
-     *  issue loop never heap-allocates after warm-up). */
-    std::vector<char> done_;
     Addr fetch_pc_ = 0;
     Cycle stall_until_ = 0;
     Cycle last_activity_ = 0;

@@ -30,7 +30,7 @@ namespace
 constexpr std::uint64_t kCheckpointMagic = 0x3154504b43544d53ull;
 constexpr std::uint32_t kCheckpointVersion = 1;
 
-void
+[[noreturn]] void
 fail(const std::string &what)
 {
     throw std::runtime_error("checkpoint: " + what);
@@ -65,6 +65,17 @@ writeOptReg(obs::ByteWriter &w, const std::optional<RegIndex> &v)
 {
     w.b(v.has_value());
     w.u8(v.value_or(0));
+}
+
+/** The text op at @p pc, which must decode to @p insn: window and
+ *  replay entries are instructions of the program's own text. */
+const CoreOp &
+textOp(const PredecodedText &text, const Insn &insn, Addr pc)
+{
+    const CoreOp *op = text.find(pc);
+    if (op == nullptr || !(op->insn == insn))
+        fail("instruction does not match the program text");
+    return *op;
 }
 
 std::optional<RegIndex>
@@ -311,20 +322,19 @@ MultithreadedProcessor::saveCheckpoint(std::ostream &os) const
         w.i32(slot.frame);
         w.b(slot.trap_pending);
         w.u32(static_cast<std::uint32_t>(slot.iqueue.size()));
-        for (Addr a : slot.iqueue)
-            w.u32(a);
+        for (int i = 0; i < slot.iqueue.size(); ++i)
+            w.u32(slot.iqueue.at(i));
         w.u32(slot.fetch_addr);
         w.b(slot.fetch_inflight);
         w.u32(static_cast<std::uint32_t>(slot.window.size()));
         for (const WindowEntry &e : slot.window) {
-            writeInsn(w, e.insn);
+            writeInsn(w, e.op->insn);
             w.u32(e.pc);
             w.b(e.replay);
         }
         w.u64(slot.d2_allowed);
-        for (Cycle c : slot.isb)
-            w.u64(c);
-        for (Cycle c : slot.fsb)
+        // Integer then FP scoreboard, the flat array's own order.
+        for (Cycle c : slot.sb)
             w.u64(c);
         w.i32(slot.ungranted_total);
         for (int v : slot.ungranted_class)
@@ -433,6 +443,7 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
             ReplayEntry e;
             e.insn = readInsn(r);
             e.pc = r.u32();
+            textOp(text_, e.insn, e.pc);
             ctx.replay.push_back(e);
         }
         ctx.ready_at = r.u64();
@@ -452,23 +463,24 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
         slot.trap_pending = r.b();
         slot.iqueue.clear();
         const std::uint32_t niq = r.u32();
+        if (niq > static_cast<std::uint32_t>(slot.iqueue.space()))
+            fail("instruction queue overflow");
         for (std::uint32_t i = 0; i < niq; ++i)
-            slot.iqueue.push_back(r.u32());
+            slot.iqueue.push(r.u32());
         slot.fetch_addr = r.u32();
         slot.fetch_inflight = r.b();
         slot.window.clear();
         const std::uint32_t nwin = r.u32();
         for (std::uint32_t i = 0; i < nwin; ++i) {
+            const Insn insn = readInsn(r);
             WindowEntry e;
-            e.insn = readInsn(r);
             e.pc = r.u32();
+            e.op = &textOp(text_, insn, e.pc);
             e.replay = r.b();
             slot.window.push_back(e);
         }
         slot.d2_allowed = r.u64();
-        for (Cycle &c : slot.isb)
-            c = r.u64();
-        for (Cycle &c : slot.fsb)
+        for (Cycle &c : slot.sb)
             c = r.u64();
         slot.ungranted_total = r.i32();
         for (int &v : slot.ungranted_class)
@@ -479,7 +491,11 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
             bin.at = r.u64();
             bin.count = r.i32();
         }
-        slot.decode_done.clear();   // per-cycle scratch
+        // Sleeping is not state: the restored slot simply makes its
+        // next decode attempt, which the counters restored below
+        // already account up to.
+        slot.asleep = false;
+        slot.slept = 0;
     }
 
     // --- fetch engine --------------------------------------------
@@ -500,6 +516,8 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
             port.inflight.push_back(op);
         }
         port.rr_next = r.i32();
+        if (port.rr_next < 0 || port.rr_next >= cfg_.num_slots)
+            fail("bad fetch round-robin pointer");
     }
 
     // --- schedule units + queue ring -----------------------------

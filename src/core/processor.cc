@@ -13,16 +13,18 @@ namespace smtsim
 namespace
 {
 
-inline bool
-inMask(std::uint32_t mask, RegIndex idx)
+/** A context's integer and FP queue mappings (one direction) as
+ *  flatReg() bits. */
+std::uint64_t
+mapMask(const std::optional<RegIndex> &int_reg,
+        const std::optional<RegIndex> &fp_reg)
 {
-    return (mask >> idx) & 1u;
-}
-
-inline void
-addMask(std::uint32_t &mask, RegIndex idx)
-{
-    mask |= 1u << idx;
+    std::uint64_t m = 0;
+    if (int_reg)
+        m |= std::uint64_t{1} << *int_reg;
+    if (fp_reg)
+        m |= std::uint64_t{1} << (*fp_reg + kNumRegs);
+    return m;
 }
 
 } // namespace
@@ -35,15 +37,13 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
       rotation_mode_(cfg.rotation_mode),
       rotation_interval_(cfg.rotation_interval)
 {
-    stall_branch_operands_ =
-        &detail_.counter("stall.branch_operands");
-    stall_priority_ = &detail_.counter("stall.priority");
-    stall_waw_ = &detail_.counter("stall.waw");
-    stall_standby_ = &detail_.counter("stall.standby");
-    stall_no_standby_ = &detail_.counter("stall.no_standby");
-    stall_memorder_ = &detail_.counter("stall.memorder");
-    stall_operands_ = &detail_.counter("stall.operands");
-    stall_queue_full_ = &detail_.counter("stall.queue_full");
+    static constexpr const char *kStallNames[kNumStalls] = {
+        "stall.branch_operands", "stall.priority",
+        "stall.waw",             "stall.standby",
+        "stall.no_standby",      "stall.memorder",
+        "stall.operands",        "stall.queue_full"};
+    for (int k = 0; k < kNumStalls; ++k)
+        stall_[k] = &detail_.counter(kStallNames[k]);
 
     SMTSIM_ASSERT(cfg_.num_slots >= 1, "need at least one slot");
     SMTSIM_ASSERT(cfg_.frames() >= cfg_.num_slots,
@@ -52,8 +52,10 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
 
     contexts_.resize(cfg_.frames());
     slots_.resize(cfg_.num_slots);
-    for (int s = 0; s < cfg_.num_slots; ++s)
+    for (int s = 0; s < cfg_.num_slots; ++s) {
+        slots_[s].iqueue.init(cfg_.iqueueWords());
         ring_.push_back(s);
+    }
 
     for (int cls = 0; cls < kNumFuClasses; ++cls) {
         const FuClass fc = static_cast<FuClass>(cls);
@@ -281,76 +283,39 @@ MultithreadedProcessor::rotateRing()
 // Scoreboard
 // ---------------------------------------------------------------
 
-Cycle &
-MultithreadedProcessor::sbOf(Slot &slot, RegRef ref)
-{
-    // thread_local: simulations run concurrently under smtsim::lab.
-    thread_local Cycle dummy;
-    if (ref.file == RF::Fp)
-        return slot.fsb[ref.idx];
-    if (ref.idx == 0) {
-        dummy = 0;
-        return dummy;
-    }
-    return slot.isb[ref.idx];
-}
-
-Cycle
-MultithreadedProcessor::sbOf(const Slot &slot, RegRef ref) const
-{
-    if (ref.file == RF::Fp)
-        return slot.fsb[ref.idx];
-    return ref.idx == 0 ? 0 : slot.isb[ref.idx];
-}
-
 bool
-MultithreadedProcessor::operandsReady(const Slot &slot,
-                                      const Context &ctx,
-                                      const Insn &insn, Cycle c,
-                                      std::uint32_t pw_int,
-                                      std::uint32_t pw_fp) const
+MultithreadedProcessor::operandsReady(int slot_id, const Context &ctx,
+                                      const CoreOp &op, Cycle c,
+                                      std::uint64_t pending_writes) const
 {
-    RegRef srcs[3];
-    const int n = insn.srcs(srcs);
+    // Queue-mapped sources pop the FIFO instead of reading the
+    // scoreboarded register.
+    std::uint64_t regs = op.srcs;
     int pops = 0;
-    for (int i = 0; i < n; ++i) {
-        const RegRef &src = srcs[i];
-        const bool mapped =
-            (src.file == RF::Int && ctx.q_read_int &&
-             *ctx.q_read_int == src.idx) ||
-            (src.file == RF::Fp && ctx.q_read_fp &&
-             *ctx.q_read_fp == src.idx);
-        if (mapped) {
-            ++pops;
-            continue;
-        }
-        if (sbOf(slot, src) > c)
-            return false;
-        if (inMask(src.file == RF::Fp ? pw_fp : pw_int, src.idx))
+    if (ctx.q_read_int || ctx.q_read_fp) {
+        pops = queuePopCount(ctx, op);
+        regs &= ~mapMask(ctx.q_read_int, ctx.q_read_fp);
+    }
+    if (regs & pending_writes)
+        return false;
+    const Slot &slot = slots_[slot_id];
+    for (; regs != 0; regs &= regs - 1) {
+        if (slot.sb[std::countr_zero(regs)] > c)
             return false;
     }
     // The slot that issued this instruction is the consumer side of
     // its incoming queue link.
-    int slot_id = static_cast<int>(&slot - slots_.data());
     return pops == 0 || ring_regs_.canPop(slot_id, pops);
 }
 
 int
 MultithreadedProcessor::queuePopCount(const Context &ctx,
-                                      const Insn &insn) const
+                                      const CoreOp &op) const
 {
-    RegRef srcs[3];
-    const int n = insn.srcs(srcs);
+    const std::uint64_t mapped = mapMask(ctx.q_read_int, ctx.q_read_fp);
     int pops = 0;
-    for (int i = 0; i < n; ++i) {
-        const RegRef &src = srcs[i];
-        if ((src.file == RF::Int && ctx.q_read_int &&
-             *ctx.q_read_int == src.idx) ||
-            (src.file == RF::Fp && ctx.q_read_fp &&
-             *ctx.q_read_fp == src.idx)) {
-            ++pops;
-        }
-    }
+    for (int i = 0; i < op.nsrc; ++i)
+        pops += static_cast<int>((mapped >> flatReg(op.src[i])) & 1);
     return pops;
 }
 
@@ -530,14 +495,16 @@ MultithreadedProcessor::fetchPhase(Cycle c)
             }
             Slot &slot = slots_[it->slot];
             if (slot.frame >= 0 && !slot.trap_pending) {
-                int space = cfg_.iqueueWords() -
-                            static_cast<int>(slot.iqueue.size());
-                int n = std::min(space, it->words);
+                // New words reach a sleeping slot's window only
+                // through free window space.
+                if (static_cast<int>(slot.window.size()) < cfg_.width)
+                    wakeSlot(slot);
+                const int n = std::min(slot.iqueue.space(), it->words);
                 for (int k = 0; k < n; ++k) {
                     const Addr a =
                         it->addr + static_cast<Addr>(k) * kInsnBytes;
                     if (a < end)
-                        slot.iqueue.push_back(a);
+                        slot.iqueue.push(a);
                 }
                 if (sink_ && n > 0) {
                     obs::Event ev;
@@ -559,26 +526,21 @@ MultithreadedProcessor::fetchPhase(Cycle c)
             it = port.inflight.erase(it);
         }
 
-        // Start a new fetch if the port is idle.
+        // Start a new fetch if the port is idle: a private port
+        // serves its own slot, the shared one every slot round-robin.
         if (port.free_at > c)
             continue;
         const int num_slots = cfg_.num_slots;
-        for (int k = 0; k < num_slots; ++k) {
-            const int s = (port.rr_next + k) % num_slots;
-            if (cfg_.private_icache && s != static_cast<int>(pi))
-                continue;
-            if (!cfg_.private_icache && &portOf(s) != &port)
-                continue;
+        const int candidates = cfg_.private_icache ? 1 : num_slots;
+        int s = cfg_.private_icache ? static_cast<int>(pi) : port.rr_next;
+        for (int k = 0; k < candidates;
+             ++k, s = s + 1 < num_slots ? s + 1 : 0) {
             Slot &slot = slots_[s];
             if (slot.frame < 0 || slot.trap_pending ||
-                slot.fetch_inflight) {
+                slot.fetch_inflight || slot.iqueue.space() <= 0 ||
+                slot.fetch_addr >= end) {
                 continue;
             }
-            const int space =
-                cfg_.iqueueWords() -
-                static_cast<int>(slot.iqueue.size());
-            if (space <= 0 || slot.fetch_addr >= end)
-                continue;
 
             FetchOp op;
             op.slot = s;
@@ -610,6 +572,7 @@ void
 MultithreadedProcessor::flushFrontEnd(int slot_id)
 {
     Slot &slot = slots_[slot_id];
+    wakeSlot(slot);
     slot.iqueue.clear();
     slot.window.clear();
     cancelFetches(slot_id);
@@ -622,12 +585,12 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
     SMTSIM_ASSERT(slot.frame < 0, "binding to an occupied slot");
     Context &ctx = contexts_[frame];
 
+    wakeSlot(slot);
     slot.frame = frame;
     slot.trap_pending = false;
     slot.iqueue.clear();
     slot.window.clear();
-    slot.isb.fill(0);
-    slot.fsb.fill(0);
+    slot.sb.fill(0);
     slot.ungranted_total = 0;
     slot.ungranted_class.fill(0);
     slot.ungranted_mem = 0;
@@ -638,7 +601,7 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
 
     // Access-requirement-buffer entries are re-decoded first.
     for (const ReplayEntry &e : ctx.replay)
-        slot.window.push_back(WindowEntry{e.insn, e.pc, true});
+        slot.window.push_back(WindowEntry{&text_.op(e.pc), e.pc, true});
     ctx.replay.clear();
 
     if (sink_) {
@@ -758,17 +721,19 @@ MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
         push.value = is_fp ? std::bit_cast<std::uint64_t>(fval)
                            : std::uint64_t{ival};
         pending_pushes_.push_back(push);
-    } else if (op.insn.dst().file == RF::Int &&
-               op.insn.dst().idx == 0) {
+    } else if (op.dst.file == RF::Int && op.dst.idx == 0) {
         // Writes to r0 vanish; no write port needed.
     } else {
-        const RegRef dst = op.insn.dst();
+        const RegRef dst = op.dst;
         SMTSIM_ASSERT(dst.valid(), "writeResult without destination");
         if (dst.file == RF::Fp)
             ctx.fregs[dst.idx] = fval;
-        else if (dst.idx != 0)
+        else
             ctx.iregs[dst.idx] = ival;
-        sbOf(slot, dst) = clear_at;
+        const int reg = flatReg(dst);
+        slot.sb[reg] = clear_at;
+        if (slot.asleep && ((slot.watched >> reg) & 1))
+            slot.wake_at = std::min(slot.wake_at, clear_at);
 
         // Each register bank has one write port; two results
         // retiring in the same cycle for one slot is a structural
@@ -833,6 +798,8 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
     const OpMeta &meta = opMeta(op.insn.op);
     const int cls = static_cast<int>(meta.fu);
 
+    if (slot.wake_on_grant)
+        wakeSlot(slot);
     --slot.ungranted_total;
     --slot.ungranted_class[cls];
     if (op.insn.isMem())
@@ -961,8 +928,8 @@ MultithreadedProcessor::schedulePhase(Cycle c)
     }
 
     for (ScheduleUnit &su : sched_units_) {
-        if (su.idle())
-            continue;
+        if (su.nextEventCycle() > c)
+            continue;       // select() would latch and grant nothing
         su.select(c, ring_, grants_scratch_);
         for (const Grant &grant : grants_scratch_)
             performGrant(grant, c);
@@ -976,12 +943,16 @@ MultithreadedProcessor::schedulePhase(Cycle c)
 void
 MultithreadedProcessor::contextPhase(Cycle c)
 {
-    // Remote accesses that completed make their contexts ready.
-    for (int f = 0; f < cfg_.frames(); ++f) {
-        Context &ctx = contexts_[f];
-        if (ctx.state == CtxState::WaitRemote && ctx.ready_at <= c) {
-            ctx.state = CtxState::Ready;
-            ready_fifo_.push_back(f);
+    // Remote accesses that completed make their contexts ready
+    // (only remote memory switches contexts out).
+    if (cfg_.remote.size > 0) {
+        for (int f = 0; f < cfg_.frames(); ++f) {
+            Context &ctx = contexts_[f];
+            if (ctx.state == CtxState::WaitRemote &&
+                ctx.ready_at <= c) {
+                ctx.state = CtxState::Ready;
+                ready_fifo_.push_back(f);
+            }
         }
     }
 
@@ -995,6 +966,8 @@ MultithreadedProcessor::contextPhase(Cycle c)
     }
 
     // Bind ready contexts to free slots, FIFO.
+    if (ready_fifo_.empty())
+        return;
     for (int s = 0; s < cfg_.num_slots; ++s) {
         if (slots_[s].frame >= 0)
             continue;
@@ -1019,25 +992,22 @@ MultithreadedProcessor::contextPhase(Cycle c)
 MultithreadedProcessor::ControlOutcome
 MultithreadedProcessor::handleControl(int slot_id,
                                       const WindowEntry &entry,
-                                      Cycle c)
+                                      Cycle c, StallCounts &stalls)
 {
     Slot &slot = slots_[slot_id];
     Context &ctx = ctxOf(slot_id);
-    const Insn &insn = entry.insn;
+    const CoreOp &cop = *entry.op;
+    const Insn &insn = cop.insn;
 
-    if (insn.isBranch()) {
-        if (!operandsReady(slot, ctx, insn, c, 0, 0)) {
-            ++*stall_branch_operands_;
+    if (cop.branch) {
+        if (!operandsReady(slot_id, ctx, cop, c, 0)) {
+            ++stalls[StallBranchOperands];
             return ControlOutcome::Blocked;
         }
-        // Link-writing jumps respect the write-after-write
-        // interlock on their destination.
-        if (insn.op == Op::JAL && slot.isb[31] > c)
+        // Link-writing jumps (JAL, JALR rd) respect the
+        // write-after-write interlock on their destination.
+        if (cop.dsts && slot.sb[flatReg(cop.dst)] > c)
             return ControlOutcome::Blocked;
-        if (insn.op == Op::JALR && insn.rd != 0 &&
-            slot.isb[insn.rd] > c) {
-            return ControlOutcome::Blocked;
-        }
         const OperandValues ops = readOperands(slot_id, insn);
         Addr next = entry.pc + kInsnBytes;
         switch (insn.op) {
@@ -1047,7 +1017,7 @@ MultithreadedProcessor::handleControl(int slot_id,
             break;
           case Op::JAL:
             ctx.iregs[31] = entry.pc + kInsnBytes;
-            slot.isb[31] = c;
+            slot.sb[31] = c;
             next = (entry.pc & 0xf0000000u) |
                    (static_cast<std::uint32_t>(insn.imm) << 2);
             break;
@@ -1059,7 +1029,7 @@ MultithreadedProcessor::handleControl(int slot_id,
           case Op::JALR:
             if (insn.rd != 0) {
                 ctx.iregs[insn.rd] = entry.pc + kInsnBytes;
-                slot.isb[insn.rd] = c;
+                slot.sb[insn.rd] = c;
             }
             next = ops.rs_i;
             if (replay_)
@@ -1170,14 +1140,14 @@ MultithreadedProcessor::handleControl(int slot_id,
       }
       case Op::CHGPRI:
         if (!hasTopPriority(slot_id)) {
-            ++*stall_priority_;
+            ++stalls[StallPriority];
             return ControlOutcome::Blocked;
         }
         rotate_requested_ = true;
         break;
       case Op::KILLT:
         if (!hasTopPriority(slot_id)) {
-            ++*stall_priority_;
+            ++stalls[StallPriority];
             return ControlOutcome::Blocked;
         }
         // The kill point is timing-dependent: the victims' record
@@ -1190,21 +1160,21 @@ MultithreadedProcessor::handleControl(int slot_id,
         killOtherThreads(slot_id, c);
         break;
       case Op::TID:
-      case Op::NSLOT: {
-        const RegRef dst = insn.dst();
-        if (sbOf(slot, dst) > c) {
-            ++*stall_waw_;
-            return ControlOutcome::Blocked;
-        }
-        if (dst.idx != 0) {
-            ctx.iregs[dst.idx] =
+      case Op::NSLOT:
+        // The mask is empty for r0, whose writes vanish.
+        if (cop.dsts) {
+            Cycle &sb = slot.sb[flatReg(cop.dst)];
+            if (sb > c) {
+                ++stalls[StallWaw];
+                return ControlOutcome::Blocked;
+            }
+            ctx.iregs[cop.dst.idx] =
                 insn.op == Op::TID
                     ? static_cast<std::uint32_t>(slot_id)
                     : static_cast<std::uint32_t>(cfg_.num_slots);
-            sbOf(slot, dst) = c;
+            sb = c;
         }
         break;
-      }
       case Op::QEN:
         if (insn.rs == 0 || insn.rt == 0 || insn.rs == insn.rt)
             fatal("qen: bad register pair");
@@ -1248,235 +1218,278 @@ MultithreadedProcessor::handleControl(int slot_id,
 }
 
 void
+MultithreadedProcessor::addStalls(const StallCounts &stalls,
+                                  std::uint64_t times)
+{
+    for (int k = 0; k < kNumStalls; ++k)
+        *stall_[k] += stalls[k] * times;
+    stats_.standby_stalls +=
+        (stalls[StallStandby] + stalls[StallNoStandby]) * times;
+}
+
+void
+MultithreadedProcessor::creditSleep(Slot &slot)
+{
+    if (slot.slept == 0)
+        return;
+    addStalls(slot.sleep_stalls, slot.slept);
+    slot.slept = 0;
+}
+
+void
+MultithreadedProcessor::wakeSlot(Slot &slot)
+{
+    if (!slot.asleep)
+        return;
+    creditSleep(slot);
+    slot.asleep = false;
+}
+
+bool
+MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
+{
+    Slot &slot = slots_[slot_id];
+    Context &ctx = ctxOf(slot_id);
+    StallCounts stalls{};
+    int issues = 0;
+    bool blocked = false;       // an older entry stays in the window
+    bool mem_blocked = false;
+    bool priority = false;      // consulted the priority ring
+    bool grant_dep = false;     // blocked by an ungranted-op count
+    std::uint64_t pending_reads = 0, pending_writes = 0;
+    // Registers whose scoreboard entries decided this attempt.
+    std::uint64_t watched = 0;
+    bool mapped = ctx.queueMapped();
+
+    // Issued entries leave the window; the rest are compacted in
+    // order as the scan goes.
+    const std::size_t n = slot.window.size();
+    std::size_t keep = 0;
+    std::size_t i = 0;
+    for (; i < n && issues < cfg_.width; ++i) {
+        const WindowEntry entry = slot.window[i];
+        const CoreOp &op = *entry.op;
+
+        if (op.control) {
+            if (blocked)
+                break;
+            // Control instructions also wait for the slot's own
+            // in-flight instructions when they change global state
+            // (fork, kill, priority, halt). CHGPRI drains too: an
+            // iteration is acknowledged (and priority handed over)
+            // only once its issued instructions have executed, which
+            // keeps priority stores of successive iterations in
+            // order.
+            if (op.drains && slot.ungranted_total > 0) {
+                grant_dep = true;
+                break;
+            }
+            priority |= op.priority;
+            watched |= op.srcs | op.dsts;
+            const ControlOutcome outcome =
+                handleControl(slot_id, entry, c, stalls);
+            if (outcome == ControlOutcome::Blocked)
+                break;
+            ++issues;
+            if (outcome == ControlOutcome::Flushed) {
+                // The flush emptied the window.
+                addStalls(stalls, 1);
+                return false;
+            }
+            mapped = ctx.queueMapped();    // QEN/QENF/QDIS issued?
+            continue;
+        }
+
+        // ----- data / memory instruction -------------------------
+        bool issuable = true;
+
+        if (op.priority) {
+            priority = true;
+            if (!hasTopPriority(slot_id)) {
+                ++stalls[StallPriority];
+                issuable = false;
+            }
+        }
+
+        const int cls = static_cast<int>(op.fu);
+        if (issuable) {
+            if (cfg_.standby_enabled) {
+                if (slot.ungranted_class[cls] > 0) {
+                    ++stalls[StallStandby];
+                    issuable = false;
+                    grant_dep = true;
+                }
+            } else if (slot.ungranted_total > 0) {
+                ++stalls[StallNoStandby];
+                issuable = false;
+                grant_dep = true;
+            }
+        }
+
+        if (issuable && op.mem &&
+            (slot.ungranted_mem > 0 || mem_blocked)) {
+            ++stalls[StallMemorder];
+            issuable = false;
+            grant_dep |= slot.ungranted_mem > 0;
+        }
+
+        // Queue-register reads dequeue, so they must stay in program
+        // order: a younger pop may not overtake an older instruction
+        // still waiting in the window.
+        if (issuable && blocked && mapped &&
+            queuePopCount(ctx, op) > 0) {
+            ++stalls[StallOperands];
+            issuable = false;
+        }
+
+        if (issuable &&
+            !operandsReady(slot_id, ctx, op, c, pending_writes)) {
+            ++stalls[StallOperands];
+            issuable = false;
+        }
+
+        const bool queue_write =
+            mapped &&
+            (op.dsts & mapMask(ctx.q_write_int, ctx.q_write_fp)) != 0;
+        if (issuable) {
+            if (queue_write) {
+                if (blocked || slot.queue_push_pending > 0 ||
+                    !ring_regs_.canReserve(slot_id)) {
+                    ++stalls[StallQueueFull];
+                    issuable = false;
+                }
+            } else if ((op.dsts & (pending_reads | pending_writes)) ||
+                       (op.dsts && slot.sb[flatReg(op.dst)] > c)) {
+                ++stalls[StallWaw];
+                issuable = false;
+            }
+        }
+
+        if (!issuable) {
+            // The entry stays; younger entries may not overtake its
+            // register traffic, memory access or queue operations.
+            pending_reads |= op.srcs;
+            pending_writes |= op.dsts;
+            mem_blocked |= op.mem;
+            blocked = true;
+            watched |= op.srcs | op.dsts;
+            slot.window[keep++] = entry;
+            continue;
+        }
+
+        IssuedOp issued;
+        issued.insn = op.insn;
+        issued.dst = op.dst;
+        issued.pc = entry.pc;
+        issued.slot = slot_id;
+        issued.ops = readOperands(slot_id, op.insn);
+        issued.arrive = c + 1;
+        issued.queue_write = queue_write;
+
+        if (queue_write) {
+            ring_regs_.reserve(slot_id);
+            ++slot.queue_push_pending;
+        } else if (op.dsts) {
+            slot.sb[flatReg(op.dst)] = kNeverCycle;
+        }
+        if (sink_) {
+            obs::Event ev;
+            ev.cycle = c;
+            ev.kind = obs::EventKind::Issue;
+            ev.slot = static_cast<std::int8_t>(slot_id);
+            ev.fu = static_cast<std::int8_t>(cls);
+            ev.pc = entry.pc;
+            ev.insn = encode(op.insn);
+            sink_->event(ev);
+        }
+        sched_units_[cls].submit(std::move(issued));
+        ++slot.ungranted_total;
+        ++slot.ungranted_class[cls];
+        if (op.mem)
+            ++slot.ungranted_mem;
+        ++issues;
+    }
+    for (; i < n; ++i)
+        slot.window[keep++] = slot.window[i];
+    slot.window.resize(keep);
+    if (stalls != StallCounts{})
+        addStalls(stalls, 1);
+
+    // A fruitless attempt changed nothing, so the next one repeats
+    // it exactly until an input changes: a watched scoreboard entry
+    // clears or is written by a grant, an ungranted-op count drops
+    // (grant_dep), or the window is flushed, refilled or rebound.
+    // Queue mappings and the priority ring change without such an
+    // event; slots reading them stay awake.
+    if (issues > 0 || !cfg_.fast_forward || priority || mapped)
+        return false;
+    Cycle wake = kNeverCycle;
+    for (std::uint64_t m = watched; m != 0; m &= m - 1) {
+        const Cycle t = slot.sb[std::countr_zero(m)];
+        if (t > c && t < wake)
+            wake = t;
+    }
+    slot.wake_at = wake;
+    slot.watched = watched;
+    slot.wake_on_grant = grant_dep;
+    slot.sleep_stalls = stalls;
+    return true;
+}
+
+void
 MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
 {
     Slot &slot = slots_[slot_id];
     if (slot.frame < 0 || slot.trap_pending)
         return;
 
-    if (c >= slot.d2_allowed && !slot.window.empty()) {
-        int issues = 0;
-        bool mem_blocked = false;
-        bool queue_write_blocked = false;
-        bool queue_read_blocked = false;
-        bool flushed = false;
-        std::uint32_t pr_int = 0, pr_fp = 0;
-        std::uint32_t pw_int = 0, pw_fp = 0;
-        // assign() reuses the slot's scratch capacity: no heap
-        // allocation on the per-cycle path after warm-up.
-        slot.decode_done.assign(slot.window.size(), 0);
-        std::vector<char> &done = slot.decode_done;
-
-        for (size_t i = 0;
-             i < slot.window.size() && issues < cfg_.width; ++i) {
-            const WindowEntry &entry = slot.window[i];
-            const Insn &insn = entry.insn;
-            const bool front = pr_int == 0 && pr_fp == 0 &&
-                               pw_int == 0 && pw_fp == 0 &&
-                               !mem_blocked && !queue_write_blocked;
-
-            if (insn.isBranch() || insn.isThreadCtl()) {
-                if (!front)
-                    break;
-                // Control instructions also wait for the slot's own
-                // in-flight instructions when they change global
-                // state (fork, kill, priority, halt).
-                // CHGPRI drains too: an iteration is acknowledged
-                // (and priority handed over) only once its issued
-                // instructions have executed, which keeps priority
-                // stores of successive iterations in order.
-                const bool needs_drain =
-                    insn.op == Op::KILLT || insn.op == Op::HALT ||
-                    insn.op == Op::FASTFORK ||
-                    insn.op == Op::CHGPRI;
-                if (needs_drain && slot.ungranted_total > 0)
-                    break;
-                const ControlOutcome outcome =
-                    handleControl(slot_id, entry, c);
-                if (outcome == ControlOutcome::Blocked)
-                    break;
-                ++issues;
-                if (outcome == ControlOutcome::Flushed) {
-                    flushed = true;
-                    break;
-                }
-                done[i] = 1;
-                continue;
-            }
-
-            // ----- data / memory instruction ---------------------
-            Context &ctx = ctxOf(slot_id);
-            bool issuable = true;
-
-            if (isPriorityStoreOp(insn.op) &&
-                !hasTopPriority(slot_id)) {
-                ++*stall_priority_;
-                issuable = false;
-            }
-
-            const FuClass cls = insn.fu();
-            if (issuable) {
-                if (cfg_.standby_enabled) {
-                    if (slot.ungranted_class[static_cast<int>(
-                            cls)] > 0) {
-                        ++stats_.standby_stalls;
-                        ++*stall_standby_;
-                        issuable = false;
-                    }
-                } else if (slot.ungranted_total > 0) {
-                    ++stats_.standby_stalls;
-                    ++*stall_no_standby_;
-                    issuable = false;
-                }
-            }
-
-            if (issuable && insn.isMem() &&
-                (slot.ungranted_mem > 0 || mem_blocked)) {
-                ++*stall_memorder_;
-                issuable = false;
-            }
-
-            // Queue-register reads dequeue, so they must stay in
-            // program order: a younger pop may not overtake an
-            // older instruction still waiting in the window.
-            if (issuable && queue_read_blocked &&
-                queuePopCount(ctx, insn) > 0) {
-                ++*stall_operands_;
-                issuable = false;
-            }
-
-            if (issuable &&
-                !operandsReady(slot, ctx, insn, c, pw_int, pw_fp)) {
-                ++*stall_operands_;
-                issuable = false;
-            }
-
-            const RegRef dst = insn.dst();
-            bool queue_write = false;
-            if (issuable && dst.valid()) {
-                queue_write =
-                    (dst.file == RF::Int && ctx.q_write_int &&
-                     *ctx.q_write_int == dst.idx) ||
-                    (dst.file == RF::Fp && ctx.q_write_fp &&
-                     *ctx.q_write_fp == dst.idx);
-                if (queue_write) {
-                    if (queue_write_blocked ||
-                        slot.queue_push_pending > 0 ||
-                        !ring_regs_.canReserve(slot_id)) {
-                        ++*stall_queue_full_;
-                        issuable = false;
-                    }
-                } else if (sbOf(slot, dst) > c ||
-                           inMask(dst.file == RF::Fp ? pr_fp
-                                                     : pr_int,
-                                  dst.idx) ||
-                           inMask(dst.file == RF::Fp ? pw_fp
-                                                     : pw_int,
-                                  dst.idx)) {
-                    ++*stall_waw_;
-                    issuable = false;
-                }
-            }
-
-            if (issuable) {
-                IssuedOp op;
-                op.insn = insn;
-                op.pc = entry.pc;
-                op.slot = slot_id;
-                op.ops = readOperands(slot_id, insn);
-                op.arrive = c + 1;
-                op.queue_write = queue_write;
-
-                if (queue_write) {
-                    ring_regs_.reserve(slot_id);
-                    ++slot.queue_push_pending;
-                } else if (dst.valid()) {
-                    sbOf(slot, dst) = kNeverCycle;
-                }
-                if (sink_) {
-                    obs::Event ev;
-                    ev.cycle = c;
-                    ev.kind = obs::EventKind::Issue;
-                    ev.slot = static_cast<std::int8_t>(slot_id);
-                    ev.fu = static_cast<std::int8_t>(cls);
-                    ev.pc = entry.pc;
-                    ev.insn = encode(insn);
-                    sink_->event(ev);
-                }
-                sched_units_[static_cast<int>(cls)].submit(
-                    std::move(op));
-                ++slot.ungranted_total;
-                ++slot.ungranted_class[static_cast<int>(cls)];
-                if (insn.isMem())
-                    ++slot.ungranted_mem;
-                ++issues;
-                done[i] = 1;
-            } else {
-                RegRef srcs[3];
-                const int n = insn.srcs(srcs);
-                for (int s = 0; s < n; ++s) {
-                    if (srcs[s].file == RF::Fp)
-                        addMask(pr_fp, srcs[s].idx);
-                    else
-                        addMask(pr_int, srcs[s].idx);
-                }
-                if (dst.valid()) {
-                    if (dst.file == RF::Fp)
-                        addMask(pw_fp, dst.idx);
-                    else if (dst.idx != 0)
-                        addMask(pw_int, dst.idx);
-                }
-                if (insn.isMem())
-                    mem_blocked = true;
-                // Conservatively keep queue writes and reads in
-                // order even when we cannot cheaply tell the
-                // mapping here.
-                queue_write_blocked = true;
-                queue_read_blocked = true;
-            }
-        }
-
-        if (!flushed) {
-            size_t w = 0;
-            for (size_t i = 0; i < slot.window.size(); ++i) {
-                if (!done[i])
-                    slot.window[w++] = slot.window[i];
-            }
-            slot.window.resize(w);
-        }
-    }
+    const bool fruitless = c >= slot.d2_allowed &&
+                           !slot.window.empty() &&
+                           issueWindow(slot_id, c);
 
     // D1: move instructions from the queue unit into the window.
-    if (slot.frame >= 0 && !slot.trap_pending) {
-        while (static_cast<int>(slot.window.size()) < cfg_.width &&
-               !slot.iqueue.empty()) {
-            const Addr a = slot.iqueue.front();
-            slot.iqueue.pop_front();
-            slot.window.push_back(
-                WindowEntry{text_.at(a), a, false});
-        }
+    if (slot.frame < 0 || slot.trap_pending)
+        return;
+    bool refilled = false;
+    while (static_cast<int>(slot.window.size()) < cfg_.width &&
+           !slot.iqueue.empty()) {
+        const Addr a = slot.iqueue.front();
+        slot.iqueue.pop();
+        slot.window.push_back(WindowEntry{&text_.op(a), a, false});
+        refilled = true;
     }
+    slot.asleep = fruitless && !refilled;
 }
 
 void
 MultithreadedProcessor::decodePhase(Cycle c)
 {
     // Decode in current priority order; determinism matters for the
-    // queue-register network. The order is snapshotted into a
-    // reused buffer (decodeSlot must not observe a mid-phase ring
-    // change, and a fresh vector per cycle would churn the heap).
-    decode_order_.assign(ring_.begin(), ring_.end());
-    for (int s : decode_order_)
+    // queue-register network. Nothing in this phase rotates the
+    // ring: CHGPRI only requests the rotation rotationPhase makes.
+    for (int s : ring_) {
+        Slot &slot = slots_[s];
+        if (slot.asleep) {
+            // The attempt would repeat the last one exactly.
+            if (c < slot.wake_at) {
+                ++slot.slept;
+                continue;
+            }
+            wakeSlot(slot);
+        }
         decodeSlot(s, c);
+    }
 }
 
 void
 MultithreadedProcessor::rotationPhase(Cycle c)
 {
     bool rotated = false;
-    if (rotation_mode_ == RotationMode::Implicit &&
-        rotation_interval_ > 0 &&
-        c % static_cast<Cycle>(rotation_interval_) == 0) {
+    const Cycle ival = static_cast<Cycle>(rotation_interval_);
+    // Intervals are usually powers of two: mask instead of divide.
+    if (rotation_mode_ == RotationMode::Implicit && ival > 0 &&
+        ((ival & (ival - 1)) == 0 ? (c & (ival - 1)) == 0
+                                  : c % ival == 0)) {
         rotateRing();
         rotated = true;
     }
@@ -1523,7 +1536,7 @@ MultithreadedProcessor::dumpState(std::ostream &os) const
            << " d2_allowed=" << slot.d2_allowed;
         if (!slot.window.empty()) {
             os << " front='"
-               << disassemble(slot.window.front().insn) << "' @"
+               << disassemble(slot.window.front().op->insn) << "' @"
                << slot.window.front().pc;
         }
         os << '\n';
@@ -1541,7 +1554,7 @@ MultithreadedProcessor::dumpState(std::ostream &os) const
 // ---------------------------------------------------------------
 
 Cycle
-MultithreadedProcessor::nextEventCycle(Cycle c) const
+MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
 {
     Cycle ev = kNeverCycle;
     const Addr end = prog_.textEnd();
@@ -1566,9 +1579,7 @@ MultithreadedProcessor::nextEventCycle(Cycle c) const
             continue;   // remaining drain comes via grant events
         }
         // A new fetch starts once this slot's port is idle.
-        if (!slot.fetch_inflight &&
-            cfg_.iqueueWords() >
-                static_cast<int>(slot.iqueue.size()) &&
+        if (!slot.fetch_inflight && slot.iqueue.space() > 0 &&
             slot.fetch_addr < end) {
             const FetchPort &port =
                 ports_[cfg_.private_icache ? s : 0];
@@ -1576,9 +1587,15 @@ MultithreadedProcessor::nextEventCycle(Cycle c) const
         }
         // A non-empty window is (re)examined by D2 once the refill
         // bubble expires — even a fruitless attempt bumps stall
-        // counters, so it can never be skipped over.
-        if (!slot.window.empty())
-            ev = std::min(ev, std::max(c + 1, slot.d2_allowed));
+        // counters, so it can never be skipped over. Only a
+        // sleeping slot's attempts are known in advance: they repeat
+        // until wake_at unless another event here intervenes.
+        if (!slot.window.empty()) {
+            const Cycle attempt = sleep_aware && slot.asleep
+                                      ? slot.wake_at
+                                      : slot.d2_allowed;
+            ev = std::min(ev, std::max(c + 1, attempt));
+        }
         // D1 moves queued instructions into free window space.
         if (static_cast<int>(slot.window.size()) < cfg_.width &&
             !slot.iqueue.empty()) {
@@ -1612,17 +1629,19 @@ MultithreadedProcessor::fastForward(Cycle stop)
     // window next cycle, nothing is skippable — bail before the
     // full event scan below touches ports, schedule units and
     // contexts. On busy workloads this loop is the entire cost of
-    // having fast-forward enabled.
+    // having fast-forward enabled. A sleeping slot only repeats its
+    // last attempt before wake_at, which the jump credits in bulk.
     for (const Slot &slot : slots_) {
         if (slot.frame < 0 || slot.trap_pending)
             continue;
-        if (!slot.window.empty() && slot.d2_allowed <= now_ + 1)
+        if (!slot.window.empty() &&
+            (slot.asleep ? slot.wake_at : slot.d2_allowed) <= now_ + 1)
             return;
         if (static_cast<int>(slot.window.size()) < cfg_.width &&
             !slot.iqueue.empty())
             return;
     }
-    const Cycle next = nextEventCycle(now_);
+    const Cycle next = nextEventCycle(now_, true);
     if (next <= now_ + 1)
         return;
     // Skip cycles now_+1 .. target-1; the loop increment then lands
@@ -1648,6 +1667,10 @@ MultithreadedProcessor::fastForward(Cycle stop)
             if (sink_)
                 emitRing(target - 1);
         }
+    }
+    for (Slot &slot : slots_) {
+        if (slot.asleep)
+            slot.slept += target - 1 - now_;
     }
     now_ = target - 1;
 }
@@ -1691,12 +1714,16 @@ MultithreadedProcessor::runUntil(Cycle stop)
                 sink_->event(ev);
                 sink_->flush();
             }
-            return stats_;
+            break;
         }
         if (cfg_.fast_forward)
             fastForward(stop);
     }
-    if (now_ >= cfg_.max_cycles) {
+    // The counters returned must include the attempts sleeping
+    // slots skipped so far; the slots themselves sleep on.
+    for (Slot &slot : slots_)
+        creditSleep(slot);
+    if (!finished_ && now_ >= cfg_.max_cycles) {
         stats_.cycles = cfg_.max_cycles;
         stats_.finished = false;
         if (sink_) {

@@ -26,7 +26,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <istream>
 #include <memory>
 #include <optional>
@@ -191,8 +190,9 @@ class MultithreadedProcessor
      * Earliest cycle after now() at which this core can do work
      * (kNeverCycle when drained — e.g. every runnable context is
      * parked on an unresolved remote access). The many-core machine
-     * uses this to pick quantum boundaries; it is exactly the idle
-     * fast-forward event bound.
+     * uses this to pick quantum boundaries. It counts every decode
+     * attempt, a sleeping slot's too (docs/PERF.md), so it never
+     * depends on how far fast-forward got.
      */
     Cycle nextEventHint() const { return nextEventCycle(now_); }
 
@@ -226,6 +226,14 @@ class MultithreadedProcessor
         std::optional<RegIndex> q_read_int, q_write_int;
         std::optional<RegIndex> q_read_fp, q_write_fp;
         std::vector<ReplayEntry> replay;
+
+        /** Any register mapped onto the queue ring? */
+        bool
+        queueMapped() const
+        {
+            return q_read_int || q_write_int || q_read_fp || q_write_fp;
+        }
+
         Cycle ready_at = 0;
         /** Remote line now present; next access to it hits. */
         std::optional<Addr> satisfied_addr;
@@ -242,9 +250,81 @@ class MultithreadedProcessor
     // ----- thread slots ------------------------------------------
     struct WindowEntry
     {
-        Insn insn;
+        const CoreOp *op = nullptr;
         Addr pc = 0;
         bool replay = false;
+    };
+
+    /** The issue-path stall counters, one per blocking cause. */
+    enum Stall
+    {
+        StallBranchOperands,
+        StallPriority,
+        StallWaw,
+        StallStandby,
+        StallNoStandby,
+        StallMemorder,
+        StallOperands,
+        StallQueueFull,
+        kNumStalls
+    };
+
+    /** Stall-counter increments of one decode attempt. */
+    using StallCounts = std::array<std::uint32_t, kNumStalls>;
+
+    /**
+     * Instruction queue unit: fetched addresses in a fixed-capacity
+     * ring, oldest first (one contiguous buffer, no per-push node
+     * allocation).
+     */
+    class InsnQueue
+    {
+      public:
+        /** Empty the queue and size it for @p capacity words. */
+        void
+        init(int capacity)
+        {
+            capacity_ = capacity;
+            buf_.assign(static_cast<std::size_t>(capacity), 0);
+            clear();
+        }
+        void
+        clear()
+        {
+            head_ = 0;
+            count_ = 0;
+        }
+        int size() const { return count_; }
+        /** Words that still fit. */
+        int space() const { return capacity_ - count_; }
+        bool empty() const { return count_ == 0; }
+        Addr front() const { return buf_[head_]; }
+        Addr at(int i) const { return buf_[wrap(head_ + i)]; }
+        void
+        push(Addr a)
+        {
+            buf_[wrap(head_ + count_)] = a;
+            ++count_;
+        }
+        void
+        pop()
+        {
+            head_ = wrap(head_ + 1);
+            --count_;
+        }
+
+      private:
+        int
+        wrap(int i) const
+        {
+            const int cap = static_cast<int>(buf_.size());
+            return i < cap ? i : i - cap;
+        }
+
+        std::vector<Addr> buf_;
+        int capacity_ = 0;
+        int head_ = 0;
+        int count_ = 0;
     };
 
     struct Slot
@@ -252,7 +332,27 @@ class MultithreadedProcessor
         int frame = -1;             ///< bound context, -1 = free
         bool trap_pending = false;  ///< draining for a switch-out
 
-        std::deque<Addr> iqueue;    ///< instruction queue unit
+        /**
+         * Sleeping (fast-forward only, docs/PERF.md): the last decode
+         * attempt issued nothing and cannot change before wake_at
+         * unless a wake event (fetch delivery into window space,
+         * flush, bind, or an own grant when wake_on_grant) arrives
+         * first. A grant that writes a watched scoreboard entry
+         * pulls wake_at in to the new clear cycle. Each skipped
+         * attempt would have repeated sleep_stalls; `slept` counts
+         * them until they are credited to the counters in bulk.
+         */
+        bool asleep = false;
+        /** The attempt was blocked by an ungranted-op count, which
+         *  any own grant lowers. */
+        bool wake_on_grant = false;
+        Cycle wake_at = 0;
+        /** Scoreboard entries (flatReg() bits) the attempt read. */
+        std::uint64_t watched = 0;
+        std::uint64_t slept = 0;
+        StallCounts sleep_stalls{};
+
+        InsnQueue iqueue;           ///< instruction queue unit
         Addr fetch_addr = 0;        ///< next address to fetch
         /** A FetchOp for this slot is in flight (at most one ever
          *  is; spares fetchPhase an O(inflight) scan per port). */
@@ -260,10 +360,10 @@ class MultithreadedProcessor
         std::vector<WindowEntry> window;
         Cycle d2_allowed = 0;       ///< front-end refill bubble
 
-        /** Scoreboard: result-clear cycle per register; kNeverCycle
+        /** Scoreboard: result-clear cycle per register, indexed by
+         *  flatReg() (integer r0, hardwired, stays 0); kNeverCycle
          *  while the producing instruction waits to be granted. */
-        std::array<Cycle, kNumRegs> isb{};
-        std::array<Cycle, kNumRegs> fsb{};
+        std::array<Cycle, 2 * kNumRegs> sb{};
 
         int ungranted_total = 0;
         std::array<int, kNumFuClasses> ungranted_class{};
@@ -289,10 +389,6 @@ class MultithreadedProcessor
          * malloc/free pair per retired instruction.
          */
         std::array<WbBin, 64> wb_ring{};
-
-        /** Scratch for decodeSlot's issued-entry marks; a member so
-         *  the per-cycle loop never heap-allocates after warm-up. */
-        std::vector<char> decode_done;
     };
 
     // ----- fetch engine ------------------------------------------
@@ -333,30 +429,42 @@ class MultithreadedProcessor
      * change: fetch deliveries/starts, schedule-unit latches and
      * grants, queue-register deposits, context wake-ups/binds, and
      * decode attempts. Returns c + 1 whenever the very next cycle
-     * may do work and kNeverCycle when the machine is drained.
+     * may do work and kNeverCycle when the machine is drained. With
+     * @p sleep_aware a sleeping slot's repeated attempts count as
+     * no event before its wake_at.
      */
-    Cycle nextEventCycle(Cycle c) const;
+    Cycle nextEventCycle(Cycle c, bool sleep_aware = false) const;
     /** Jump now_ to just before the next event (clamped to
-     *  @p stop), batch-applying the implicit priority rotations of
-     *  the skipped cycles. */
+     *  @p stop), batch-applying the implicit priority rotations and
+     *  the sleeping slots' repeated attempts of the skipped
+     *  cycles. */
     void fastForward(Cycle stop);
 
     // decode helpers
     enum class ControlOutcome { Blocked, Issued, Flushed };
 
     void decodeSlot(int slot_id, Cycle c);
+    /** D2: try to issue from the window. @return true when the
+     *  attempt issued nothing and the slot may sleep (wake_at set). */
+    bool issueWindow(int slot_id, Cycle c);
     ControlOutcome handleControl(int slot_id,
-                                 const WindowEntry &entry, Cycle c);
+                                 const WindowEntry &entry, Cycle c,
+                                 StallCounts &stalls);
     OperandValues readOperands(int slot_id, const Insn &insn);
-    bool operandsReady(const Slot &slot, const Context &ctx,
-                       const Insn &insn, Cycle c,
-                       std::uint32_t pw_int,
-                       std::uint32_t pw_fp) const;
-    /** Queue-register pops @p insn performs under @p ctx's current
+    bool operandsReady(int slot_id, const Context &ctx,
+                       const CoreOp &op, Cycle c,
+                       std::uint64_t pending_writes) const;
+    /** Queue-register pops @p op performs under @p ctx's current
      *  queue mappings (0 = reads no queue register). */
-    int queuePopCount(const Context &ctx, const Insn &insn) const;
-    Cycle &sbOf(Slot &slot, RegRef ref);
-    Cycle sbOf(const Slot &slot, RegRef ref) const;
+    int queuePopCount(const Context &ctx, const CoreOp &op) const;
+
+    // sleeping slots (docs/PERF.md)
+    /** Add @p times repetitions of @p stalls to the counters. */
+    void addStalls(const StallCounts &stalls, std::uint64_t times);
+    /** Credit the slot's skipped attempts; it stays asleep. */
+    void creditSleep(Slot &slot);
+    /** Credit and wake: the next decodeSlot makes a real attempt. */
+    void wakeSlot(Slot &slot);
 
     // grant-time execution
     void performGrant(const Grant &grant, Cycle c);
@@ -441,23 +549,15 @@ class MultithreadedProcessor
     /** Emit a state snapshot at the next run()/runUntil() entry. */
     bool snapshot_pending_ = false;
 
-    /** Reused per-cycle buffers (no per-cycle heap traffic). */
+    /** Reused per-cycle buffer (no per-cycle heap traffic). */
     std::vector<Grant> grants_scratch_;
-    std::vector<int> decode_order_;
 
     /**
-     * Issue-path stall counters resolved once at construction;
-     * detail_'s string-keyed export surface is unchanged (std::map
-     * node references are stable).
+     * Issue-path stall counters, indexed by Stall, resolved once at
+     * construction; detail_'s string-keyed export surface is
+     * unchanged (std::map node references are stable).
      */
-    std::uint64_t *stall_branch_operands_ = nullptr;
-    std::uint64_t *stall_priority_ = nullptr;
-    std::uint64_t *stall_waw_ = nullptr;
-    std::uint64_t *stall_standby_ = nullptr;
-    std::uint64_t *stall_no_standby_ = nullptr;
-    std::uint64_t *stall_memorder_ = nullptr;
-    std::uint64_t *stall_operands_ = nullptr;
-    std::uint64_t *stall_queue_full_ = nullptr;
+    std::array<std::uint64_t *, kNumStalls> stall_{};
 
     /** Emit the synthetic machine-state events a fresh stream
      *  needs to be self-contained (snapshot, ring, binds, queue

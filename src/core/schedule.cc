@@ -1,6 +1,7 @@
 #include "schedule.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "base/logging.hh"
 
@@ -30,6 +31,7 @@ ScheduleUnit::submit(IssuedOp op)
 {
     SMTSIM_ASSERT(!slotBusy(op.slot),
                   "double submit to one standby station");
+    next_event_ = std::min(next_event_, op.arrive);
     incoming_.push_back(std::move(op));
 }
 
@@ -47,31 +49,35 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
 {
     grants.clear();
 
-    // Latch newly arriving instructions into their standby stations.
-    for (auto it = incoming_.begin(); it != incoming_.end();) {
-        if (it->arrive <= c) {
-            SMTSIM_ASSERT(!standby_[it->slot].has_value(),
-                          "standby station collision");
-            if (sink_) {
-                obs::Event ev;
-                ev.cycle = c;
-                ev.kind = obs::EventKind::Park;
-                ev.slot = static_cast<std::int8_t>(it->slot);
-                ev.fu = static_cast<std::int8_t>(cls_);
-                ev.pc = it->pc;
-                ev.insn = encode(it->insn);
-                sink_->event(ev);
-            }
-            standby_[it->slot] = std::move(*it);
-            ++standby_occupied_;
-            it = incoming_.erase(it);
-        } else {
-            ++it;
+    // Latch newly arriving instructions into their standby stations
+    // (the rest keep their order).
+    std::size_t keep = 0;
+    for (IssuedOp &op : incoming_) {
+        if (op.arrive > c) {
+            incoming_[keep++] = std::move(op);
+            continue;
         }
+        SMTSIM_ASSERT(!standby_[op.slot].has_value(),
+                      "standby station collision");
+        if (sink_) {
+            obs::Event ev;
+            ev.cycle = c;
+            ev.kind = obs::EventKind::Park;
+            ev.slot = static_cast<std::int8_t>(op.slot);
+            ev.fu = static_cast<std::int8_t>(cls_);
+            ev.pc = op.pc;
+            ev.insn = encode(op.insn);
+            sink_->event(ev);
+        }
+        standby_[op.slot] = std::move(op);
+        ++standby_occupied_;
     }
+    incoming_.resize(keep);
 
     // Grant in priority order while units can accept.
     for (int slot : priority_order) {
+        if (standby_occupied_ == 0)
+            break;
         if (!standby_[slot].has_value())
             continue;
         int unit = -1;
@@ -90,10 +96,11 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
             c + static_cast<Cycle>(opMeta(op.insn.op).issue_latency);
         grants.push_back(Grant{std::move(op), unit});
     }
+    updateNextEvent();
 }
 
-Cycle
-ScheduleUnit::nextEventCycle() const
+void
+ScheduleUnit::updateNextEvent()
 {
     Cycle ev = kNeverCycle;
     if (standby_occupied_ > 0) {
@@ -107,7 +114,7 @@ ScheduleUnit::nextEventCycle() const
     // Arrival latches an instruction into its standby station.
     for (const IssuedOp &op : incoming_)
         ev = std::min(ev, op.arrive);
-    return ev;
+    next_event_ = ev;
 }
 
 void
@@ -154,11 +161,15 @@ IssuedOp
 readIssuedOp(obs::ByteReader &r)
 {
     IssuedOp op;
-    op.insn.op = static_cast<Op>(r.u16());
+    const std::uint16_t opcode = r.u16();
+    if (opcode >= kNumOps)
+        throw std::runtime_error("checkpoint: bad issued opcode");
+    op.insn.op = static_cast<Op>(opcode);
     op.insn.rd = r.u8();
     op.insn.rs = r.u8();
     op.insn.rt = r.u8();
     op.insn.imm = r.i32();
+    op.dst = op.insn.dst();
     op.pc = r.u32();
     op.slot = r.i32();
     op.ops.rs_i = r.u32();
@@ -212,6 +223,7 @@ ScheduleUnit::deserialize(obs::ByteReader &r)
     const std::uint32_t ni = r.u32();
     for (std::uint32_t i = 0; i < ni; ++i)
         incoming_.push_back(readIssuedOp(r));
+    updateNextEvent();
 }
 
 void
@@ -226,6 +238,7 @@ ScheduleUnit::flushSlot(int slot)
         else
             ++it;
     }
+    updateNextEvent();
 }
 
 } // namespace smtsim

@@ -31,6 +31,9 @@ namespace smtsim
 struct IssuedOp
 {
     Insn insn;
+    /** insn.dst(), resolved at issue so the grant never re-derives
+     *  it. */
+    RegRef dst;
     Addr pc = 0;
     int slot = -1;
     /** Operand values captured at issue (register-read model). */
@@ -76,25 +79,15 @@ class ScheduleUnit
      * Earliest cycle at which this unit can act on its current
      * contents — an incoming instruction latching into its standby
      * station, or a waiting instruction being granted once a unit
-     * frees up. kNeverCycle when empty. Used by the idle-cycle
-     * fast-forward; callers clamp the result to "next cycle".
+     * frees up. kNeverCycle when empty. select() for an earlier
+     * cycle is a no-op, so the per-cycle schedule phase skips it;
+     * the idle-cycle fast-forward clamps it to "next cycle". Kept
+     * up to date by every mutator, so reading it is O(1).
      */
-    Cycle nextEventCycle() const;
+    Cycle nextEventCycle() const { return next_event_; }
 
     /** Discard any waiting instruction of @p slot (thread killed). */
     void flushSlot(int slot);
-
-    /**
-     * Nothing in flight anywhere in this unit: no arriving
-     * instructions, no occupied standby station. An idle unit's
-     * select() is a guaranteed no-op, so the per-cycle schedule
-     * phase skips it (hot-path profile, docs/PERF.md).
-     */
-    bool
-    idle() const
-    {
-        return incoming_.empty() && standby_occupied_ == 0;
-    }
 
     int numUnits() const { return static_cast<int>(units_.size()); }
     FuClass fuClass() const { return cls_; }
@@ -117,10 +110,15 @@ class ScheduleUnit
     std::vector<Cycle> units_;
     /** Standby stations, one per thread slot, depth 1. */
     std::vector<std::optional<IssuedOp>> standby_;
-    /** Count of occupied standby stations (backs idle()). */
+    /** Count of occupied standby stations. */
     int standby_occupied_ = 0;
     /** Instructions issued this cycle, arriving at S next cycle. */
     std::vector<IssuedOp> incoming_;
+    /** nextEventCycle()'s value. */
+    Cycle next_event_ = kNeverCycle;
+
+    /** Recompute next_event_ from the units and stations. */
+    void updateNextEvent();
 };
 
 } // namespace smtsim

@@ -174,105 +174,6 @@ FastEngine::queueInto(int dst)
 }
 
 // ---------------------------------------------------------------
-// Page-cached memory access. Values are identical to MainMemory's
-// byte-compose reads; the cache only skips the hash lookup when
-// consecutive accesses stay on one 64 KiB page (they almost always
-// do). Page storage pointers are stable (unordered_map nodes).
-
-std::uint8_t *
-FastEngine::readPage(Addr base)
-{
-    if (base != page_base_) {
-        page_base_ = base;
-        // The cache is shared with the write path, which needs a
-        // mutable pointer; mem_ itself is non-const.
-        page_ =
-            const_cast<std::uint8_t *>(mem_.findPageData(base));
-    }
-    return page_;
-}
-
-std::uint8_t *
-FastEngine::writePage(Addr base)
-{
-    if (base != page_base_ || page_ == nullptr) {
-        page_base_ = base;
-        page_ = mem_.pageData(base);
-    }
-    return page_;
-}
-
-std::uint32_t
-FastEngine::memRead32(Addr addr)
-{
-    const Addr off = addr % MainMemory::kPageBytes;
-    if (off <= MainMemory::kPageBytes - 4) [[likely]] {
-        const std::uint8_t *p = readPage(addr - off);
-        if (p == nullptr)
-            return 0;
-        return static_cast<std::uint32_t>(p[off]) |
-               static_cast<std::uint32_t>(p[off + 1]) << 8 |
-               static_cast<std::uint32_t>(p[off + 2]) << 16 |
-               static_cast<std::uint32_t>(p[off + 3]) << 24;
-    }
-    return mem_.read32(addr);
-}
-
-void
-FastEngine::memWrite32(Addr addr, std::uint32_t value)
-{
-    const Addr off = addr % MainMemory::kPageBytes;
-    if (off <= MainMemory::kPageBytes - 4) [[likely]] {
-        std::uint8_t *p = writePage(addr - off);
-        p[off] = static_cast<std::uint8_t>(value);
-        p[off + 1] = static_cast<std::uint8_t>(value >> 8);
-        p[off + 2] = static_cast<std::uint8_t>(value >> 16);
-        p[off + 3] = static_cast<std::uint8_t>(value >> 24);
-        return;
-    }
-    // A page-straddling write may materialize the cached-absent
-    // page behind the cache's back; drop the cache entry.
-    mem_.write32(addr, value);
-    page_base_ = ~Addr{0};
-    page_ = nullptr;
-}
-
-double
-FastEngine::memReadDouble(Addr addr)
-{
-    const Addr off = addr % MainMemory::kPageBytes;
-    if (off <= MainMemory::kPageBytes - 8) [[likely]] {
-        const std::uint8_t *p = readPage(addr - off);
-        if (p == nullptr)
-            return 0.0;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[off +
-                                              static_cast<Addr>(i)])
-                 << (8 * i);
-        return std::bit_cast<double>(v);
-    }
-    return mem_.readDouble(addr);
-}
-
-void
-FastEngine::memWriteDouble(Addr addr, double value)
-{
-    const Addr off = addr % MainMemory::kPageBytes;
-    if (off <= MainMemory::kPageBytes - 8) [[likely]] {
-        std::uint8_t *p = writePage(addr - off);
-        const std::uint64_t v = std::bit_cast<std::uint64_t>(value);
-        for (int i = 0; i < 8; ++i)
-            p[off + static_cast<Addr>(i)] =
-                static_cast<std::uint8_t>(v >> (8 * i));
-        return;
-    }
-    mem_.writeDouble(addr, value);
-    page_base_ = ~Addr{0};
-    page_ = nullptr;
-}
-
-// ---------------------------------------------------------------
 // Queue-aware register access (generic path), faithful to
 // Interpreter::readInt/readFp/writeInt/writeFp, plus queue-push
 // trace recording.
@@ -594,7 +495,7 @@ L_LW: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
     if constexpr (Traced)
         rec->onMem(tid, pc, a);
-    R[fo->dst] = memRead32(a);
+    R[fo->dst] = mem_.read32(a);
     NEXT();
 }
 L_SW:
@@ -602,14 +503,14 @@ L_PSTW: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
     if constexpr (Traced)
         rec->onMem(tid, pc, a);
-    memWrite32(a, R[fo->rt]);
+    mem_.write32(a, R[fo->rt]);
     NEXT();
 }
 L_LF: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
     if constexpr (Traced)
         rec->onMem(tid, pc, a);
-    F[fo->rt] = memReadDouble(a);
+    F[fo->rt] = mem_.readDouble(a);
     NEXT();
 }
 L_SF:
@@ -617,7 +518,7 @@ L_PSTF: {
     const Addr a = R[fo->rs] + static_cast<std::uint32_t>(fo->imm);
     if constexpr (Traced)
         rec->onMem(tid, pc, a);
-    memWriteDouble(a, F[fo->rt]);
+    mem_.writeDouble(a, F[fo->rt]);
     NEXT();
 }
 
@@ -934,13 +835,13 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
         switch (op) {
           case Op::LW: {
             if (!writeInt(t, tid, insn_pc, insn.rt,
-                          memRead32(addr), rec))
+                          mem_.read32(addr), rec))
                 panic("queue precheck missed a load destination");
             break;
           }
           case Op::LF: {
             if (!writeFp(t, tid, insn_pc, insn.rt,
-                         memReadDouble(addr), rec))
+                         mem_.readDouble(addr), rec))
                 panic("queue precheck missed a load destination");
             break;
           }
@@ -949,7 +850,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             std::uint32_t v = 0;
             if (!readInt(t, tid, insn.rt, v))
                 panic("queue precheck missed a store source");
-            memWrite32(addr, v);
+            mem_.write32(addr, v);
             break;
           }
           case Op::SF:
@@ -957,7 +858,7 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
             double v = 0;
             if (!readFp(t, tid, insn.rt, v))
                 panic("queue precheck missed a store source");
-            memWriteDouble(addr, v);
+            mem_.writeDouble(addr, v);
             break;
           }
           default:

@@ -21,8 +21,8 @@
  *    pre-fork prologue otherwise) execution drops into a tight
  *    threaded-code loop — computed goto on GCC/Clang, a switch
  *    elsewhere — with no scheduling, blocking or mapping checks,
- *  - memory accesses go through a one-entry page cache instead of
- *    MainMemory's hash lookup per access.
+ *  - memory accesses go through MainMemory's one-entry page cache
+ *    (every engine's) instead of a hash lookup per access.
  *
  * run() optionally records an execution trace (exec_trace.hh): the
  * resolved outcome of every data-dependent control transfer, every
@@ -144,14 +144,6 @@ class FastEngine
     bool writeFp(Thread &t, int tid, Addr pc, RegIndex idx,
                  double value, TraceRecorder *rec);
 
-    // Page-cached memory access (values identical to MainMemory's).
-    std::uint8_t *readPage(Addr base);
-    std::uint8_t *writePage(Addr base);
-    std::uint32_t memRead32(Addr addr);
-    void memWrite32(Addr addr, std::uint32_t value);
-    double memReadDouble(Addr addr);
-    void memWriteDouble(Addr addr, double value);
-
     const Program &prog_;
     MainMemory &mem_;
     InterpConfig cfg_;
@@ -165,10 +157,6 @@ class FastEngine
     std::vector<Thread> threads_;
     std::vector<std::deque<std::uint64_t>> queues_;
     std::vector<int> ring_;
-
-    /** One-entry page cache; ~0 never matches an aligned base. */
-    Addr page_base_ = ~Addr{0};
-    std::uint8_t *page_ = nullptr;
 };
 
 /** A recorded run: functional outcome + execution trace. */

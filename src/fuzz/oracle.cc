@@ -170,6 +170,8 @@ runEngine(const Program &prog, const RunConfig &rc,
             const RunStats stats = cpu.run();
             st.finished = stats.finished;
             st.instructions = stats.instructions;
+            st.timing = stats;
+            st.detail = cpu.detail().all();
             for (int t = 0; t < rc.slots; ++t) {
                 std::array<std::uint32_t, kNumRegs> ir{};
                 std::array<std::uint64_t, kNumRegs> fr{};
@@ -252,6 +254,25 @@ diffStates(const EngineState &ref, const EngineState &got,
             return os.str();
         }
     }
+    if (ref.timing && got.timing) {
+        if (!statsEqual(*ref.timing, *got.timing)) {
+            return "timing mismatch: ref " +
+                   statsToJson(*ref.timing).dump() + " vs " +
+                   statsToJson(*got.timing).dump();
+        }
+        if (ref.detail != got.detail) {
+            os << "timing mismatch: detail counters";
+            for (const auto &[name, value] : ref.detail) {
+                const auto it = got.detail.find(name);
+                const std::uint64_t other =
+                    it == got.detail.end() ? 0 : it->second;
+                if (value != other)
+                    os << " " << name << " ref " << value << " vs "
+                       << other;
+            }
+            return os.str();
+        }
+    }
     return {};
 }
 
@@ -264,6 +285,8 @@ classifyDivergence(const std::string &detail)
         return DivClass::Finished;
     if (detail.rfind("retired-instruction mismatch", 0) == 0)
         return DivClass::Instructions;
+    if (detail.rfind("timing mismatch", 0) == 0)
+        return DivClass::Timing;
     return DivClass::State;
 }
 
@@ -517,6 +540,9 @@ checkProgram(const Program &prog, const GenFeatures &features,
     std::vector<std::pair<RunConfig, RunConfig>> grid =
         buildGrid(features);
     std::vector<std::pair<std::string, EngineState>> ref_cache;
+    // Fast-forward core cells, awaiting their naive-loop twins (the
+    // grid lists each ff=1 cell before its ff=0 twin).
+    std::vector<std::pair<RunConfig, EngineState>> ff_cells;
     for (const auto &[ref, cfg] : grid) {
         const std::string key = ref.name();
         const EngineState *ref_state = nullptr;
@@ -530,11 +556,27 @@ checkProgram(const Program &prog, const GenFeatures &features,
             ref_cache.emplace_back(key, runEngine(prog, ref, budget));
             ref_state = &ref_cache.back().second;
         }
-        const EngineState got = runEngine(prog, cfg, budget);
+        EngineState got = runEngine(prog, cfg, budget);
         const std::string diff =
             diffStates(*ref_state, got, features.usesQueues());
         if (!diff.empty())
             return Divergence{ref, cfg, diff};
+        if (cfg.engine != Engine::Core)
+            continue;
+        if (cfg.fast_forward) {
+            ff_cells.emplace_back(cfg, std::move(got));
+            continue;
+        }
+        RunConfig twin = cfg;
+        twin.fast_forward = true;
+        for (const auto &[ff_cfg, ff_state] : ff_cells) {
+            if (!(ff_cfg == twin))
+                continue;
+            const std::string tdiff =
+                diffStates(ff_state, got, features.usesQueues());
+            if (!tdiff.empty())
+                return Divergence{ff_cfg, cfg, tdiff};
+        }
     }
     if (auto div = checkReplayTiming(prog, features, budget))
         return div;

@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -25,6 +27,7 @@
 
 #include "asmr/program.hh"
 #include "fuzz/generate.hh"
+#include "machine/run_stats.hh"
 
 namespace smtsim::fuzz
 {
@@ -56,6 +59,8 @@ struct RunConfig
 
     /** Human-readable cell name for reports and repro files. */
     std::string name() const;
+
+    bool operator==(const RunConfig &other) const = default;
 };
 
 /** Architectural outcome of one engine run. */
@@ -74,6 +79,10 @@ struct EngineState
     std::vector<std::array<std::uint64_t, kNumRegs>> fregs;
     /** Data-segment words. */
     std::vector<std::uint32_t> mem;
+    /** Core cells only: the full statistics and every detail()
+     *  counter, compared across a cell's fast-forward twins. */
+    std::optional<RunStats> timing;
+    std::map<std::string, std::uint64_t, std::less<>> detail;
 };
 
 /** Simulation budgets (generated programs stay far below these; the
@@ -95,7 +104,8 @@ EngineState runEngine(const Program &prog, const RunConfig &rc,
  * @p mask_queue_regs is set the architectural values of the queue
  * pair registers (r20/r21, f8/f9) are ignored: while mapped, those
  * names address the FIFO, and the leftover architectural values are
- * not specified by the paper.
+ * not specified by the paper. When both outcomes carry core timing
+ * (statistics and detail counters), those must match too.
  */
 std::string diffStates(const EngineState &ref,
                        const EngineState &got,
@@ -124,7 +134,8 @@ enum class DivClass
     Trap,
     Finished,
     Instructions,
-    State       ///< registers or memory
+    State,      ///< registers or memory
+    Timing      ///< core statistics or detail counters
 };
 
 DivClass classifyDivergence(const std::string &detail);
@@ -165,7 +176,10 @@ std::optional<Divergence> checkManyCoreDeterminism(
     const OracleBudget &budget = {});
 
 /** Run the whole grid (plus the replay timing check); first
- *  divergence wins. */
+ *  divergence wins. Every fast_forward=false core cell is also
+ *  compared with its fast_forward=true twin: same architectural
+ *  outcome, statistics and detail counters, since fast-forward (and
+ *  the sleeping slots it enables) must be cycle-exact. */
 std::optional<Divergence> checkProgram(const Program &prog,
                                        const GenFeatures &features,
                                        const OracleBudget &budget = {});

@@ -490,6 +490,26 @@ ExperimentSpec::expand() const
     // the machine engine.
     const bool many_core = !(cores.size() == 1 && cores[0] == 1);
 
+    // Bound the grid from the axis sizes alone, before any job is
+    // built. Every factor is at least 1 and each step checks before
+    // it multiplies, so the product cannot overflow.
+    const std::string too_big = name + ": grid expands to more than " +
+                                std::to_string(kMaxJobs) + " jobs";
+    std::size_t cells = 1;
+    for (std::size_t n :
+         {slots.size(), frames.size(), lsu.size(), widths.size(),
+          standby.size(), rotation_intervals.size(),
+          many_core ? cores.size() : std::size_t{1},
+          workloads.size()}) {
+        if (cells > kMaxJobs / n)
+            throw std::invalid_argument(too_big);
+        cells *= n;
+    }
+    if (include_baseline)
+        cells += workloads.size();
+    if (cells > kMaxJobs)
+        throw std::invalid_argument(too_big);
+
     std::vector<Job> jobs;
     std::set<std::string> ids;
     auto addJob = [&](Job job) {

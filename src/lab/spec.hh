@@ -211,13 +211,18 @@ struct ExperimentSpec
      */
     bool replay = false;
 
+    /** Most jobs one spec may expand to (a spec is outside input,
+     *  e.g. from a smtsim-serve client). */
+    static constexpr std::size_t kMaxJobs = std::size_t{1} << 16;
+
     /**
      * Flatten the grid into jobs, ids like
      * "raytrace/s4/f4/ls2/w1/sb/r8" (axes with one value are still
      * spelled out — ids stay stable when an axis grows). Machine
      * sweeps (cores axis != {1}) append "/cN".
-     * @throws std::invalid_argument on an empty axis or duplicate
-     * points.
+     * @throws std::invalid_argument on an empty axis, duplicate
+     * points, or a grid of more than kMaxJobs jobs — checked from
+     * the axis sizes before any job is built.
      */
     std::vector<Job> expand() const;
 };

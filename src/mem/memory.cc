@@ -1,85 +1,61 @@
 #include "memory.hh"
 
-#include "base/logging.hh"
+#include <algorithm>
+#include <cstring>
 
 namespace smtsim
 {
 
-const MainMemory::Page *
-MainMemory::findPage(Addr addr) const
+void
+MainMemory::lookUp(Addr index) const
 {
-    auto it = pages_.find(addr / kPageBytes);
-    return it == pages_.end() ? nullptr : &it->second;
-}
-
-MainMemory::Page &
-MainMemory::touchPage(Addr addr)
-{
-    Page &page = pages_[addr / kPageBytes];
-    if (page.empty())
-        page.assign(kPageBytes, 0);
-    return page;
-}
-
-std::uint8_t
-MainMemory::read8(Addr addr) const
-{
-    const Page *page = findPage(addr);
-    return page ? (*page)[addr % kPageBytes] : 0;
+    auto it = pages_.find(index);
+    cache_.index = index;
+    // The cache serves writes too; the page itself is mutable.
+    cache_.data = it == pages_.end()
+                      ? nullptr
+                      : const_cast<std::uint8_t *>(it->second.data());
 }
 
 void
-MainMemory::write8(Addr addr, std::uint8_t value)
+MainMemory::touch(Addr index)
 {
-    touchPage(addr)[addr % kPageBytes] = value;
+    Page &page = pages_[index];
+    if (page.empty())
+        page.assign(kPageBytes, 0);
+    cache_.index = index;
+    cache_.data = page.data();
 }
 
-std::uint32_t
-MainMemory::read32(Addr addr) const
+std::uint64_t
+MainMemory::readStraddling(Addr addr, int bytes) const
 {
-    // Fast path for accesses that do not straddle a page.
-    if (addr % kPageBytes <= kPageBytes - 4) {
-        const Page *page = findPage(addr);
-        if (!page)
-            return 0;
-        const Addr off = addr % kPageBytes;
-        return static_cast<std::uint32_t>((*page)[off]) |
-               static_cast<std::uint32_t>((*page)[off + 1]) << 8 |
-               static_cast<std::uint32_t>((*page)[off + 2]) << 16 |
-               static_cast<std::uint32_t>((*page)[off + 3]) << 24;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(read8(addr + i)) << (8 * i);
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(read8(addr + i)) << (8 * i);
     return v;
 }
 
 void
-MainMemory::write32(Addr addr, std::uint32_t value)
+MainMemory::writeStraddling(Addr addr, std::uint64_t value, int bytes)
 {
-    for (int i = 0; i < 4; ++i)
+    for (int i = 0; i < bytes; ++i)
         write8(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
-}
-
-std::uint64_t
-MainMemory::read64(Addr addr) const
-{
-    return static_cast<std::uint64_t>(read32(addr)) |
-           static_cast<std::uint64_t>(read32(addr + 4)) << 32;
-}
-
-void
-MainMemory::write64(Addr addr, std::uint64_t value)
-{
-    write32(addr, static_cast<std::uint32_t>(value));
-    write32(addr + 4, static_cast<std::uint32_t>(value >> 32));
 }
 
 void
 MainMemory::loadBytes(Addr base, const std::vector<std::uint8_t> &bytes)
 {
-    for (size_t i = 0; i < bytes.size(); ++i)
-        write8(base + static_cast<Addr>(i), bytes[i]);
+    // One page at a time; addresses wrap at 2^32 like byte writes.
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        const Addr addr = base + static_cast<Addr>(done);
+        const Addr off = addr % kPageBytes;
+        const std::size_t n = std::min<std::size_t>(
+            kPageBytes - off, bytes.size() - done);
+        std::memcpy(writePage(addr) + off, bytes.data() + done, n);
+        done += n;
+    }
 }
 
 void

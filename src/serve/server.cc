@@ -399,7 +399,10 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
             sub.conn = conn->id;
             sub.id = id;
             sub.total = jobs.size();
-            sub.pending = jobs.size();
+            sub.pending = jobs.size() + 1;  // + the accepted event
+            sub.cache_hits = hits.size();
+            for (const lab::JobResult &r : hits)
+                sub.failures += r.ok ? 0 : 1;
 
             std::vector<QueuedJob> batch;
             for (QueuedJob &qj : misses) {
@@ -441,31 +444,35 @@ Server::handleSubmit(const std::shared_ptr<Connection> &conn,
     }
 
     sendTo(conn->id, eventAccepted(id, jobs.size()));
+    eventWritten(token);
 
     // Stream admission-time cache hits; the last one may complete
     // the submission.
-    for (lab::JobResult &r : hits) {
+    for (const lab::JobResult &r : hits) {
         sendTo(conn->id, eventResult(id, r, "cache"));
-        std::string done_line;
-        {
-            std::lock_guard<std::mutex> lock(sched_mutex_);
-            auto it = submissions_.find(token);
-            if (it == submissions_.end())
-                break;
-            Submission &sub = it->second;
-            ++sub.cache_hits;
-            if (!r.ok)
-                ++sub.failures;
-            if (--sub.pending == 0) {
-                done_line =
-                    eventDone(sub.id, sub.total, sub.failures,
-                              sub.cache_hits, sub.coalesced);
-                submissions_.erase(it);
-            }
-        }
-        if (!done_line.empty())
-            sendTo(conn->id, done_line);
+        eventWritten(token);
     }
+}
+
+void
+Server::eventWritten(std::uint64_t token)
+{
+    std::uint64_t conn = 0;
+    std::string done_line;
+    {
+        std::lock_guard<std::mutex> lock(sched_mutex_);
+        auto it = submissions_.find(token);
+        if (it == submissions_.end())
+            return;
+        Submission &sub = it->second;
+        if (--sub.pending > 0)
+            return;
+        conn = sub.conn;
+        done_line = eventDone(sub.id, sub.total, sub.failures,
+                              sub.cache_hits, sub.coalesced);
+        submissions_.erase(it);
+    }
+    sendTo(conn, done_line);
 }
 
 void
@@ -524,6 +531,7 @@ Server::publish(const std::string &key,
 {
     struct Delivery
     {
+        std::uint64_t submission;
         std::uint64_t conn;
         std::string line;
     };
@@ -552,14 +560,7 @@ Server::publish(const std::string &key,
             if (!r.ok)
                 ++sub.failures;
             deliveries.push_back(
-                {sub.conn, eventResult(sub.id, r, src)});
-            if (--sub.pending == 0) {
-                deliveries.push_back(
-                    {sub.conn,
-                     eventDone(sub.id, sub.total, sub.failures,
-                               sub.cache_hits, sub.coalesced)});
-                submissions_.erase(it);
-            }
+                {w.submission, sub.conn, eventResult(sub.id, r, src)});
         }
     }
     if (coalesced > 0 || source == "cache") {
@@ -568,8 +569,10 @@ Server::publish(const std::string &key,
         if (source == "cache")
             ++stats_.cache_hits;
     }
-    for (const Delivery &d : deliveries)
+    for (const Delivery &d : deliveries) {
         sendTo(d.conn, d.line);
+        eventWritten(d.submission);
+    }
 }
 
 void

@@ -26,8 +26,10 @@
  *      the worker pool, store ok results, and publish to every
  *      waiter of the key (leader sees source "sim"/"cache",
  *      coalesced waiters see "dedup").
- *   3. completion — when a submission's last job publishes, a
- *      "done" event with aggregate counters closes it out.
+ *   3. completion — once a submission's accepted event and every
+ *      result have been written to its client, whichever thread
+ *      wrote the last of them sends a "done" event with aggregate
+ *      counters, so done always arrives last.
  *
  * Locking: one scheduling mutex covers {FairQueue, SingleFlight,
  * submissions} — admission and publication must see the three in a
@@ -170,6 +172,10 @@ class Server
         std::uint64_t conn = 0;     ///< owning connection id
         std::string id;             ///< client-chosen submission id
         std::size_t total = 0;
+        /** Events (accepted, then one result per job) not yet
+         *  written to the client. Dispatchers write outside
+         *  sched_mutex_, so only the writer of the last one may send
+         *  done: then done follows every other event. */
         std::size_t pending = 0;
         std::size_t failures = 0;
         std::size_t cache_hits = 0;
@@ -204,6 +210,11 @@ class Server
     void publish(const std::string &key,
                  const lab::JobResult &result,
                  const std::string &source);
+
+    /** The accepted event or a result of submission @p token
+     *  reached its client: count it off, and send done once the
+     *  last one has. */
+    void eventWritten(std::uint64_t token);
 
     /** Write one event line to a connection (drops if it's gone). */
     void sendTo(std::uint64_t conn_id, const std::string &line);

@@ -110,6 +110,46 @@ TEST(FuzzOracle, SmallDifferentialSweepIsClean)
     }
 }
 
+TEST(FuzzOracle, CoreTimingMismatchIsADivergence)
+{
+    GenOptions opts;
+    opts.seed = 11;
+    const GenProgram prog = generate(opts);
+    const Program image = assemble(prog.render());
+    RunConfig fast;
+    fast.engine = Engine::Core;
+    fast.slots = 2;
+    RunConfig naive = fast;
+    naive.fast_forward = false;
+    const EngineState a = runEngine(image, fast, testBudget());
+    EngineState b = runEngine(image, naive, testBudget());
+    ASSERT_TRUE(a.timing.has_value());
+    ASSERT_FALSE(a.detail.empty());
+    // Fast-forward twins agree on statistics and every counter.
+    EXPECT_EQ(diffStates(a, b, prog.features.usesQueues()), "");
+
+    // One stall counter off is enough to diverge, and is classified
+    // as timing so shrinking keeps to it.
+    ++b.detail.begin()->second;
+    const std::string diff = diffStates(a, b, prog.features.usesQueues());
+    EXPECT_EQ(diff.rfind("timing mismatch", 0), 0u) << diff;
+    EXPECT_EQ(classifyDivergence(diff), DivClass::Timing);
+    --b.detail.begin()->second;
+    ++b.timing->cycles;
+    EXPECT_EQ(classifyDivergence(
+                  diffStates(a, b, prog.features.usesQueues())),
+              DivClass::Timing);
+
+    // Engines without timing (the interpreter) compare architecture
+    // only.
+    RunConfig interp;
+    interp.engine = Engine::Interp;
+    interp.slots = 2;
+    const EngineState ref = runEngine(image, interp, testBudget());
+    EXPECT_FALSE(ref.timing.has_value());
+    EXPECT_EQ(diffStates(ref, b, prog.features.usesQueues()), "");
+}
+
 TEST(FuzzOracle, GridRespectsFeatureExclusions)
 {
     GenFeatures queues;

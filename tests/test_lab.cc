@@ -351,6 +351,53 @@ TEST(LabSpec, ExpandRejectsEmptyAxes)
     EXPECT_THROW(spec.expand(), std::invalid_argument);   // no wl
 }
 
+namespace
+{
+
+std::vector<int>
+iota(int n)
+{
+    std::vector<int> v(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i)
+        v[static_cast<std::size_t>(i)] = i + 1;
+    return v;
+}
+
+} // namespace
+
+TEST(LabSpec, ExpandRejectsGridsPastTheCapBeforeBuildingJobs)
+{
+    ExperimentSpec spec;
+    spec.workloads = {WorkloadSpec::matmul(6)};
+    // 64 * 32 * 32 = 65536 cells: exactly the cap, accepted by the
+    // bound (expanding it for real would take a while).
+    spec.slots = iota(64);
+    spec.frames = iota(32);
+    spec.lsu = iota(32);
+    static_assert(ExperimentSpec::kMaxJobs == 65536);
+    // One more point on any axis, or a baseline job, crosses it.
+    spec.include_baseline = true;
+    try {
+        spec.expand();
+        FAIL() << "a grid past the cap expanded";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("more than 65536 jobs"),
+                  std::string::npos)
+            << e.what();
+    }
+    spec.include_baseline = false;
+    spec.widths = {1, 2};
+    EXPECT_THROW(spec.expand(), std::invalid_argument);
+
+    // Axes whose product overflows 64 bits are rejected, not
+    // wrapped around to a small count.
+    ExperimentSpec wide;
+    wide.workloads = {WorkloadSpec::matmul(6)};
+    wide.slots = wide.frames = wide.lsu = wide.widths =
+        wide.rotation_intervals = wide.cores = iota(10000);
+    EXPECT_THROW(wide.expand(), std::invalid_argument);
+}
+
 TEST(LabSpec, WorkloadFromString)
 {
     const WorkloadSpec wl = WorkloadSpec::fromString(

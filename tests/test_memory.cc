@@ -79,6 +79,41 @@ TEST(Memory, OverwriteKeepsLatest)
     EXPECT_EQ(mem.read32(0x40), 2u);
 }
 
+TEST(Memory, PageCacheSeesPagesTouchedBehindIt)
+{
+    MainMemory mem;
+    const Addr page = MainMemory::kPageBytes;
+    // Cache the page as untouched, then materialize it through a
+    // page-straddling write and a block load.
+    EXPECT_EQ(mem.read32(3 * page + 8), 0u);
+    mem.write32(3 * page - 2, 0xa1b2c3d4u);
+    EXPECT_EQ(mem.read32(3 * page - 2), 0xa1b2c3d4u);
+    EXPECT_EQ(mem.read8(3 * page + 1), 0xa1u);
+    EXPECT_EQ(mem.read32(5 * page + 4), 0u);
+    mem.loadBytes(5 * page - 1, {9, 8, 7});
+    EXPECT_EQ(mem.read32(5 * page), 0x0708u);
+    mem.write64(7 * page - 4, 0x0102030405060708ull);
+    EXPECT_EQ(mem.read64(7 * page - 4), 0x0102030405060708ull);
+    // reset() drops the cached page along with the table.
+    mem.reset();
+    EXPECT_EQ(mem.read32(3 * page - 2), 0u);
+    EXPECT_EQ(mem.residentPages(), 0u);
+}
+
+TEST(Memory, CopiesDoNotShareTheCachedPage)
+{
+    MainMemory a;
+    a.write32(0x100, 1);
+    MainMemory b = a;
+    b.write32(0x100, 2);        // b's own page, not a's
+    EXPECT_EQ(a.read32(0x100), 1u);
+    EXPECT_EQ(b.read32(0x100), 2u);
+    a = b;
+    a.write32(0x104, 3);
+    EXPECT_EQ(b.read32(0x104), 0u);
+    EXPECT_EQ(a.read32(0x100), 2u);
+}
+
 TEST(RemoteRegionTest, Contains)
 {
     RemoteRegion r;

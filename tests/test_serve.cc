@@ -882,3 +882,81 @@ TEST(ServeServer, WorkerCrashMidSweepIsRetriedAndSweepCompletes)
     EXPECT_GE(server.stats().worker_restarts, 1u);
     server.stop();
 }
+
+TEST(ServeServer, GridPastTheCapIsRejectedBeforeExpansion)
+{
+    TempDir tmp("gridcap");
+    Server server(serverOptions(tmp, 1));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.connect(tmp.str("serve.sock"), &error))
+        << error;
+
+    // A short spec whose axes multiply to 100^3 = 10^6 grid points:
+    // the daemon must refuse it from the axis sizes, without
+    // building a million jobs in the reader thread.
+    ExperimentSpec huge = smallSpec();
+    huge.slots.clear();
+    huge.frames.clear();
+    huge.lsu.clear();
+    for (int i = 1; i <= 100; ++i) {
+        huge.slots.push_back(i);
+        huge.frames.push_back(i);
+        huge.lsu.push_back(i);
+    }
+    const SubmitOutcome out = client.submitAndWait("huge", huge, 10000);
+    EXPECT_EQ(out.status, "rejected");
+    EXPECT_NE(out.error.find("more than 65536 jobs"), std::string::npos)
+        << out.error;
+
+    // The daemon keeps serving.
+    const SubmitOutcome ok = client.submitAndWait("ok", smallSpec(), 30000);
+    EXPECT_EQ(ok.status, "done") << ok.error;
+    EXPECT_EQ(ok.results.size(), 2u);
+    server.stop();
+}
+
+TEST(ServeServer, DoneFollowsEveryResultWithTwoDispatchers)
+{
+    TempDir tmp("order");
+    Server server(serverOptions(tmp, 2));
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+    Client client;
+    ASSERT_TRUE(client.connect(tmp.str("serve.sock"), &error))
+        << error;
+
+    // Cold two-cell sweeps (each repetition a new rotation interval,
+    // so nothing comes from the cache): the two dispatchers run the
+    // cells side by side and publish them at nearly the same time,
+    // and done must still trail the accepted event and every
+    // result. Sending done from the publishing thread lost this
+    // race in about half of such runs.
+    for (int rep = 0; rep < 300; ++rep) {
+        ExperimentSpec spec = smallSpec(4, {2, 3});
+        spec.rotation_intervals = {rep + 1};
+        const std::string id = "sweep" + std::to_string(rep);
+        ASSERT_TRUE(client.sendRaw(submitLine(id, spec)));
+        std::size_t results = 0;
+        bool accepted = false;
+        Event ev;
+        while (true) {
+            ASSERT_EQ(client.readEvent(&ev, 30000), ReadStatus::Ok);
+            ASSERT_EQ(ev.id, id) << ev.type << " of an earlier sweep";
+            if (ev.type == "accepted") {
+                accepted = true;
+            } else if (ev.type == "result") {
+                ++results;
+                EXPECT_EQ(ev.source, "sim");
+            } else {
+                ASSERT_EQ(ev.type, "done") << ev.error;
+                break;
+            }
+        }
+        ASSERT_TRUE(accepted) << "done before accepted, sweep " << rep;
+        ASSERT_EQ(results, 2u) << "done before a result, sweep " << rep;
+        EXPECT_EQ(ev.payload.at("jobs").asInt(), 2);
+    }
+    server.stop();
+}
