@@ -7,7 +7,8 @@
  * in EXPERIMENTS.md ("simulator throughput").
  *
  * Representative configs:
- *  - interpreter (functional oracle, 1 thread),
+ *  - functional engine, reference stepping and chunk loop (1
+ *    thread),
  *  - baseline RISC,
  *  - multithreaded core at 1/4/8 slots (dense issue),
  *  - concurrent multithreading with a 200-cycle remote-memory
@@ -27,7 +28,6 @@
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
 #include "fastpath/engine.hh"
-#include "interp/interpreter.hh"
 #include "obs/event.hh"
 #include "trace/synth.hh"
 #include "workloads/workloads.hh"
@@ -79,18 +79,19 @@ reportRates(benchmark::State &state, std::uint64_t cycles,
         benchmark::Counter::kIsRate);
 }
 
-} // namespace
-
-static void
-BM_Interpreter(benchmark::State &state)
+/** The functional engine on the single-thread bench kernel, with
+ *  the chunk loop on or off (reference stepping). */
+void
+runFunctionalBench(benchmark::State &state, bool chunked)
 {
     const Program prog = benchKernel(false);
     std::uint64_t insns = 0;
     for (auto _ : state) {
         MainMemory mem;
         prog.loadInto(mem);
-        Interpreter interp(prog, mem);
-        const InterpResult r = interp.run();
+        fastpath::FastEngine engine(prog, mem);
+        const InterpResult r =
+            chunked ? engine.run() : engine.runReference();
         insns += r.steps;
         benchmark::DoNotOptimize(r.steps);
     }
@@ -98,27 +99,23 @@ BM_Interpreter(benchmark::State &state)
         static_cast<double>(insns) / 1e6,
         benchmark::Counter::kIsRate);
 }
+
+} // namespace
+
+static void
+BM_Interpreter(benchmark::State &state)
+{
+    runFunctionalBench(state, false);
+}
 BENCHMARK(BM_Interpreter);
 
 static void
 BM_Fastpath(benchmark::State &state)
 {
-    // The BM_Interpreter shape on the threaded-code engine —
-    // scripts/bench_simspeed.sh asserts the MIPS ratio between the
-    // two rows stays >= 3x (docs/PERF.md).
-    const Program prog = benchKernel(false);
-    std::uint64_t insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        fastpath::FastEngine fast(prog, mem);
-        const InterpResult r = fast.run();
-        insns += r.steps;
-        benchmark::DoNotOptimize(r.steps);
-    }
-    state.counters["MIPS"] = benchmark::Counter(
-        static_cast<double>(insns) / 1e6,
-        benchmark::Counter::kIsRate);
+    // The BM_Interpreter shape with the chunk loop on —
+    // scripts/check_bench_json.py --fast-floor asserts the MIPS
+    // ratio between the two rows stays >= 3x (docs/PERF.md).
+    runFunctionalBench(state, true);
 }
 BENCHMARK(BM_Fastpath);
 
@@ -144,32 +141,10 @@ BM_FastpathTraced(benchmark::State &state)
 BENCHMARK(BM_FastpathTraced);
 
 static void
-BM_FastpathStreaming(benchmark::State &state)
-{
-    // Trace recording through the bounded SPSC ring with the
-    // drain on this thread — the shape the lab executor uses.
-    const Program prog = benchKernel(false);
-    std::uint64_t insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        const fastpath::TracedRun tr =
-            fastpath::recordTraceStreaming(prog, mem);
-        insns += tr.result.steps;
-        benchmark::DoNotOptimize(tr.trace.threads.size());
-    }
-    state.counters["MIPS"] = benchmark::Counter(
-        static_cast<double>(insns) / 1e6,
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FastpathStreaming);
-
-static void
 BM_CoreReplay(benchmark::State &state)
 {
-    // The timing half of the functional-first pipeline: the
-    // BM_Core/4 shape driven in verified replay mode from a
-    // pre-recorded trace.
+    // The BM_Core/4 shape driven in verified replay mode from a
+    // pre-recorded trace (the mode fuzz::checkReplayTiming checks).
     const Program prog = benchKernel(true);
     CoreConfig cfg;
     cfg.num_slots = 4;
@@ -255,9 +230,9 @@ class CountingSink : public obs::EventSink
 
 /** Shared body of the tracing-overhead pair: the BM_Core/4 shape,
  *  with or without an event sink attached. scripts/
- *  bench_simspeed.sh asserts TraceOff stays within 2% of BM_Core/4
- *  (the disabled event layer must cost one dead branch per
- *  would-be event, nothing more). */
+ *  check_bench_json.py --trace-guard asserts TraceOff stays within
+ *  2% of BM_Core/4 (the disabled event layer must cost one dead
+ *  branch per would-be event, nothing more). */
 void
 runCoreTraceBench(benchmark::State &state, bool traced)
 {

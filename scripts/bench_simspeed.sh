@@ -7,17 +7,19 @@
 # CMAKE_BUILD_TYPE (numbers from debug-ish builds are not
 # comparable and must never land in BENCH_simspeed.json). It stamps
 # the JSON context with the build type, git sha, compiler and CPU
-# count (smtsim_* keys, scripts/bench_common.sh) and checks the
-# stamp with scripts/check_bench_json.py.
+# count (smtsim_* keys, scripts/bench_common.sh).
 #
-# Also guards two perf promises:
-#  - observability no-cost-when-disabled: BM_CoreTraceOff (event
-#    sink detached) must stay within SMTSIM_BENCH_TRACE_PCT percent
-#    (default 2) of the plain BM_Core/4 row from the same run
-#    (docs/OBSERVABILITY.md);
-#  - functional-first speedup: BM_Fastpath must reach at least
-#    SMTSIM_BENCH_FAST_X times (default 3) the MIPS of
-#    BM_Interpreter on the same kernel (docs/PERF.md).
+# scripts/check_bench_json.py checks the stamp and two perf
+# promises, each a ratio of two rows from the same run:
+#  - --fast-floor: the functional engine's chunk loop (BM_Fastpath)
+#    reaches at least SMTSIM_BENCH_FAST_X times (default 3) the MIPS
+#    of the same engine's reference stepping (BM_Interpreter) on the
+#    same kernel (docs/PERF.md);
+#  - --trace-guard: observability no-cost-when-disabled.
+#    BM_CoreTraceOff (event sink detached) must stay within
+#    SMTSIM_BENCH_TRACE_PCT percent (default 2) of the plain
+#    BM_Core/4 row (docs/OBSERVABILITY.md), compared in a dedicated
+#    interleaved, repeated run.
 #
 # Usage: scripts/bench_simspeed.sh [build-dir] [out.json]
 #   SMTSIM_BENCH_MIN_TIME   benchmark_min_time seconds (default 0.5;
@@ -25,16 +27,15 @@
 #   SMTSIM_BENCH_TRACE_PCT  allowed tracing-disabled overhead in
 #                           percent (default 2); set to "skip" to
 #                           disable the guard
-#   SMTSIM_BENCH_FAST_X     required fast-engine speedup over the
-#                           interpreter (default 3); set to "skip"
-#                           to disable the guard
+#   SMTSIM_BENCH_FAST_X     required chunk-loop speedup over
+#                           reference stepping (default 3); set to
+#                           "skip" to disable the guard
 set -eu
 
 build=${1:-build}
 out=${2:-BENCH_simspeed.json}
 min_time=${SMTSIM_BENCH_MIN_TIME:-0.5}
-trace_pct=${SMTSIM_BENCH_TRACE_PCT:-2}
-fast_x=${SMTSIM_BENCH_FAST_X:-3}
+check="$(dirname "$0")/check_bench_json.py"
 
 if [ ! -x "$build/bench/bench_simspeed" ]; then
     echo "bench_simspeed not built in $build (cmake --build $build)" >&2
@@ -52,37 +53,13 @@ bench_require_release "$build" "simulator-throughput" bench_simspeed
 
 # Belt and braces: the context we just asked for must actually be in
 # the artifact, so downstream consumers (EXPERIMENTS.md, CI diffs)
-# can trust any BENCH_simspeed.json they are handed.
-python3 "$(dirname "$0")/check_bench_json.py" "$out"
+# can trust any BENCH_simspeed.json they are handed. The chunk-loop
+# floor compares two rows of the same artifact.
+python3 "$check" --fast-floor "$out"
 
 echo "wrote $out" >&2
 
-if [ "$fast_x" = "skip" ]; then
-    echo "fastpath speedup guard skipped" >&2
-else
-    # Same kernel, same MIPS definition, same run — the ratio is the
-    # functional-first headline number (docs/PERF.md).
-    python3 - "$out" "$fast_x" <<'EOF'
-import json
-import sys
-
-out, need = sys.argv[1], float(sys.argv[2])
-rows = {b["name"]: b for b in json.load(open(out))["benchmarks"]}
-try:
-    interp = rows["BM_Interpreter"]["MIPS"]
-    fast = rows["BM_Fastpath"]["MIPS"]
-except KeyError as missing:
-    sys.exit(f"bench guard: row {missing} missing from {out}")
-ratio = fast / interp
-print(f"fast engine: {fast:.1f} MIPS vs interpreter {interp:.1f} "
-      f"MIPS ({ratio:.2f}x)", file=sys.stderr)
-if ratio < need:
-    sys.exit(f"bench guard: fast-engine speedup {ratio:.2f}x is "
-             f"below the required {need:.1f}x over BM_Interpreter")
-EOF
-fi
-
-if [ "$trace_pct" = "skip" ]; then
+if [ "${SMTSIM_BENCH_TRACE_PCT:-2}" = "skip" ]; then
     echo "tracing-overhead guard skipped" >&2
     exit 0
 fi
@@ -99,24 +76,7 @@ trap 'rm -f "$guard_json"' EXIT
     --benchmark_enable_random_interleaving=true \
     --benchmark_report_aggregates_only=true \
     --benchmark_out="$guard_json" \
-    --benchmark_out_format=json >/dev/null
+    --benchmark_out_format=json \
+    --benchmark_context="$(bench_context "$build")" >/dev/null
 
-python3 - "$guard_json" "$trace_pct" <<'EOF'
-import json
-import sys
-
-out, pct = sys.argv[1], float(sys.argv[2])
-rows = {b["name"]: b for b in json.load(open(out))["benchmarks"]}
-try:
-    base = rows["BM_Core/4_median"]["cpu_time"]
-    off = rows["BM_CoreTraceOff_median"]["cpu_time"]
-except KeyError as missing:
-    sys.exit(f"bench guard: row {missing} missing from {out}")
-over = 100.0 * (off / base - 1.0)
-print(f"tracing disabled: {over:+.2f}% vs BM_Core/4 (median of 7, "
-      f"interleaved)", file=sys.stderr)
-if over > pct:
-    sys.exit(f"bench guard: tracing-disabled overhead {over:.2f}% "
-             f"exceeds {pct:.1f}% (event emission must hide behind "
-             f"a null-sink check)")
-EOF
+python3 "$check" --trace-guard "$guard_json"

@@ -1,19 +1,35 @@
 #!/usr/bin/env python3
-"""Check the build stamp of a google-benchmark JSON file.
+"""Check google-benchmark JSON files: build stamp and perf guards.
 
-    python3 scripts/check_bench_json.py BENCH_simspeed.json
+    python3 scripts/check_bench_json.py [--fast-floor] [--trace-guard]
+                                        FILE...
 
-Exits 1 with a "bench guard:" message unless the file parses with no
-repeated key in any object, and its context carries the stamp the
+Exits 1 with a "bench guard:" message unless every FILE parses with
+no repeated key in any object, and its context carries the stamp the
 bench scripts write: smtsim_build_type (which must be "Release"),
 smtsim_git_sha, smtsim_compiler and smtsim_nproc. google-benchmark
 writes its own library_build_type, the build type of the benchmark
 library rather than of smtsim, so the stamp uses keys that cannot
 collide with it: a parser keeping the last of two equal keys would
 let either value win.
+
+Guards (bench/bench_simspeed.cc rows, each ratio taken within one
+file, so they hold on any host):
+
+  --fast-floor   the functional engine's chunk loop (BM_Fastpath)
+                 reaches at least SMTSIM_BENCH_FAST_X (default 3)
+                 times the MIPS of the same engine's reference
+                 stepping (BM_Interpreter).
+  --trace-guard  the core with its event sink detached
+                 (BM_CoreTraceOff) costs at most SMTSIM_BENCH_TRACE_PCT
+                 (default 2) percent more CPU time than BM_Core/4.
+                 Uses the _median rows of a repeated run when present.
+
+Setting either variable to "skip" turns its guard off.
 """
 
 import json
+import os
 import sys
 
 STAMP = ("smtsim_build_type", "smtsim_git_sha", "smtsim_compiler",
@@ -29,12 +45,7 @@ def unique_keys(pairs):
     return obj
 
 
-def check(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f, object_pairs_hook=unique_keys)
-    except (OSError, ValueError) as err:
-        return "%s: %s" % (path, err)
+def check_stamp(path, doc):
     ctx = doc.get("context") if isinstance(doc, dict) else None
     if not isinstance(ctx, dict):
         return "%s: no context object" % path
@@ -47,12 +58,76 @@ def check(path):
     return None
 
 
+def limit(var, default):
+    value = os.environ.get(var, default)
+    return None if value == "skip" else float(value)
+
+
+def rows(doc, *names):
+    by_name = {b["name"]: b for b in doc.get("benchmarks", [])}
+    try:
+        return [by_name.get(n + "_median") or by_name[n] for n in names]
+    except KeyError as missing:
+        raise ValueError("row %s missing" % missing)
+
+
+def fast_floor(path, doc):
+    need = limit("SMTSIM_BENCH_FAST_X", "3")
+    if need is None:
+        print("fast-engine floor skipped", file=sys.stderr)
+        return None
+    ref, fast = (r["MIPS"] for r in
+                 rows(doc, "BM_Interpreter", "BM_Fastpath"))
+    ratio = fast / ref
+    print("chunk loop: %.1f MIPS vs reference stepping %.1f MIPS "
+          "(%.2fx)" % (fast, ref, ratio), file=sys.stderr)
+    if ratio < need:
+        return "%s: chunk-loop speedup %.2fx is below the required " \
+               "%.1fx over reference stepping" % (path, ratio, need)
+    return None
+
+
+def trace_guard(path, doc):
+    pct = limit("SMTSIM_BENCH_TRACE_PCT", "2")
+    if pct is None:
+        print("tracing-overhead guard skipped", file=sys.stderr)
+        return None
+    base, off = (r["cpu_time"] for r in
+                 rows(doc, "BM_Core/4", "BM_CoreTraceOff"))
+    over = 100.0 * (off / base - 1.0)
+    print("tracing disabled: %+.2f%% vs BM_Core/4" % over,
+          file=sys.stderr)
+    if over > pct:
+        return "%s: tracing-disabled overhead %.2f%% exceeds %.1f%% " \
+               "(event emission must hide behind a null-sink check)" \
+               % (path, over, pct)
+    return None
+
+
+def check(path, guards):
+    try:
+        with open(path) as f:
+            doc = json.load(f, object_pairs_hook=unique_keys)
+        for guard in [check_stamp] + guards:
+            err = guard(path, doc)
+            if err:
+                return err
+    except (OSError, ValueError, KeyError) as err:
+        return "%s: %s" % (path, err)
+    return None
+
+
 def main():
-    if len(sys.argv) != 2:
-        sys.exit("usage: check_bench_json.py FILE")
-    err = check(sys.argv[1])
-    if err:
-        sys.exit("bench guard: " + err)
+    flags = {"--fast-floor": fast_floor, "--trace-guard": trace_guard}
+    guards = [flags[a] for a in sys.argv[1:] if a in flags]
+    paths = [a for a in sys.argv[1:] if a not in flags]
+    if not paths or any(p.startswith("--") for p in paths):
+        sys.exit("usage: check_bench_json.py [--fast-floor] "
+                 "[--trace-guard] FILE...")
+    for path in paths:
+        err = check(path, guards)
+        if err:
+            sys.exit("bench guard: " + err)
 
 
 if __name__ == "__main__":

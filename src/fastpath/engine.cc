@@ -2,13 +2,10 @@
 
 #include <bit>
 #include <cmath>
-#include <exception>
-#include <thread>
 #include <utility>
 
 #include "base/logging.hh"
 #include "isa/semantics.hh"
-#include "trace/spsc.hh"
 
 // Computed goto is a GNU extension; everything else gets the
 // equivalent switch-based dispatch.
@@ -32,7 +29,7 @@ asSigned(std::uint32_t v)
 
 /** Every Op, in exact enum order — the dispatch-table generator.
  *  (A wrong order would misdispatch every program; the fuzzer's
- *  fast-vs-interp differential cells would catch it instantly.) */
+ *  fast-vs-reference differential cells would catch it instantly.) */
 #define SMTSIM_FAST_OPS(X)                                           \
     X(ADD) X(SUB) X(AND_) X(OR_) X(XOR_) X(NOR_) X(SLT) X(SLTU)      \
     X(ADDI) X(SLTI) X(ANDI) X(ORI) X(XORI) X(LUI)                    \
@@ -174,9 +171,8 @@ FastEngine::queueInto(int dst)
 }
 
 // ---------------------------------------------------------------
-// Queue-aware register access (generic path), faithful to
-// Interpreter::readInt/readFp/writeInt/writeFp, plus queue-push
-// trace recording.
+// Queue-aware register access (generic path), plus queue-push trace
+// recording.
 
 bool
 FastEngine::readInt(Thread &t, int tid, RegIndex idx,
@@ -606,7 +602,7 @@ L_HALT:
     removeFromRing(tid);
     --remaining;
     exit_reason = ChunkExit::Halted;
-    goto done; // pc stays at the HALT, like the interpreter
+    goto done; // pc stays at the HALT, like the generic step
 L_FASTFORK: {
     bool forked = false;
     for (int j = 0; j < cfg_.num_threads; ++j) {
@@ -666,9 +662,9 @@ done: {
 }
 
 // ---------------------------------------------------------------
-// Generic path: one architectural step, structured exactly like
-// Interpreter::step so multi-thread scheduling, queue blocking and
-// error behaviour stay bit-identical.
+// Generic path: one architectural step. Multi-thread scheduling,
+// queue blocking and every error go through here; the chunk loop
+// above must reproduce its effect for the single-runner case.
 
 bool
 FastEngine::stepGeneric(int tid, TraceRecorder *rec)
@@ -948,17 +944,29 @@ FastEngine::stepGeneric(int tid, TraceRecorder *rec)
 InterpResult
 FastEngine::run(TraceRecorder *rec)
 {
+    return runLoop(rec, true);
+}
+
+InterpResult
+FastEngine::runReference()
+{
+    return runLoop(nullptr, false);
+}
+
+InterpResult
+FastEngine::runLoop(TraceRecorder *rec, bool chunked)
+{
     InterpResult result;
     std::uint64_t total = 0;
 
     while (total < cfg_.max_steps) {
-        const int solo = soleRunner();
+        const int solo = chunked ? soleRunner() : -1;
         if (solo >= 0) {
             const ChunkExit e =
                 rec ? runChunk<true>(solo, total, rec)
                     : runChunk<false>(solo, total, rec);
             if (e == ChunkExit::Forked) {
-                // The fork happened mid-round: the interpreter
+                // The fork happened mid-round: the reference
                 // steps the higher-numbered (just-activated)
                 // threads once before the next round starts.
                 for (int tid = solo + 1;
@@ -1019,36 +1027,6 @@ recordTrace(const Program &prog, MainMemory &mem,
     for (std::size_t i = 0; i < trace.threads.size(); ++i)
         trace.threads[i].insns = out.result.per_thread_steps[i];
     out.trace = std::move(trace);
-    return out;
-}
-
-TracedRun
-recordTraceStreaming(const Program &prog, MainMemory &mem,
-                     const InterpConfig &cfg)
-{
-    SpscRing<StreamRec> ring(1u << 14);
-    TracedRun out;
-    out.trace.entry = prog.entry;
-    out.trace.threads.resize(
-        static_cast<std::size_t>(cfg.num_threads));
-
-    FastEngine engine(prog, mem, cfg);
-    std::exception_ptr err;
-    std::thread producer([&] {
-        try {
-            StreamingRecorder rec(ring);
-            out.result = engine.run(&rec);
-        } catch (...) {
-            err = std::current_exception();
-        }
-        ring.close();
-    });
-    drainStream(ring, out.trace);
-    producer.join();
-    if (err)
-        std::rethrow_exception(err);
-    for (std::size_t i = 0; i < out.trace.threads.size(); ++i)
-        out.trace.threads[i].insns = out.result.per_thread_steps[i];
     return out;
 }
 

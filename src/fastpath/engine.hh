@@ -1,17 +1,19 @@
 /**
  * @file
- * Threaded-code functional engine (the fast half of the
- * functional-first pipeline, docs/PERF.md).
+ * Threaded-code functional engine: the one architectural model of
+ * the ISA (docs/PERF.md section 4).
  *
- * FastEngine is a drop-in replacement for the reference
- * Interpreter: same constructor shape, same InterpConfig /
- * InterpResult types, and bit-identical results — scheduling
- * (round-robin, one step per running thread per round), blocking
- * rules, error behaviour, step counts, registers and memory all
- * match the golden model exactly (tests/test_fastpath.cc and the
- * fuzzer's `fast` oracle cells enforce this).
+ * FastEngine executes programs architecturally, with full support
+ * for the multithreading primitives (fast-fork, queue registers,
+ * priority rotation, kill-threads, priority stores), but without
+ * any timing. Both pipeline models are validated against it: for
+ * every workload, final memory contents and halted-register state
+ * must match.
  *
- * The speed comes from three things:
+ * Every instruction can go through one generic step function that
+ * schedules round-robin (one step per running thread per round)
+ * and applies the blocking rules. runReference() uses nothing
+ * else; it is the golden model. run() adds the speed:
  *  - the text segment is predecoded into a dense array of
  *    handler-dispatched ops with per-format fields resolved
  *    (destination register, zero-extended immediates, static
@@ -20,14 +22,15 @@
  *    mappings (the whole run for single-threaded programs, the
  *    pre-fork prologue otherwise) execution drops into a tight
  *    threaded-code loop — computed goto on GCC/Clang, a switch
- *    elsewhere — with no scheduling, blocking or mapping checks,
- *  - memory accesses go through MainMemory's one-entry page cache
- *    (every engine's) instead of a hash lookup per access.
+ *    elsewhere — with no scheduling, blocking or mapping checks.
+ * The two must agree bit for bit: step counts, per-thread counts,
+ * registers, memory, completion and errors (tests/test_interp.cc,
+ * tests/test_fastpath.cc and the fuzzer's interp-vs-fast cells).
  *
  * run() optionally records an execution trace (exec_trace.hh): the
  * resolved outcome of every data-dependent control transfer, every
- * memory effective address and every queue push — exactly what
- * trace-driven replay of the timing models needs.
+ * memory effective address and every queue push — what verified
+ * replay of the detailed core needs.
  */
 
 #ifndef SMTSIM_FASTPATH_ENGINE_HH
@@ -41,16 +44,39 @@
 
 #include "asmr/program.hh"
 #include "base/types.hh"
-#include "interp/interpreter.hh"
 #include "isa/insn.hh"
 #include "mem/memory.hh"
 #include "trace/exec_trace.hh"
 
+namespace smtsim
+{
+
+/** Functional-engine configuration. */
+struct InterpConfig
+{
+    /** Number of logical processors (thread slots). */
+    int num_threads = 1;
+    /** Queue-register FIFO depth (paper's Figure 5 shows 4). */
+    int queue_depth = 4;
+    /** Step budget; exceeding it is reported as a failure. */
+    std::uint64_t max_steps = 500'000'000;
+};
+
+/** Outcome of a functional run. */
+struct InterpResult
+{
+    bool completed = false;     ///< every thread halted or was killed
+    std::uint64_t steps = 0;    ///< total instructions executed
+    std::vector<std::uint64_t> per_thread_steps;
+};
+
+} // namespace smtsim
+
 namespace smtsim::fastpath
 {
 
-/** The threaded-code functional engine. Single-shot: construct,
- *  run() once, then read registers. */
+/** The functional engine. Single-shot: construct, run() or
+ *  runReference() once, then read registers. */
 class FastEngine
 {
   public:
@@ -59,12 +85,15 @@ class FastEngine
 
     /**
      * Run until all threads finish, optionally recording an
-     * execution trace through @p rec. Same contract as
-     * Interpreter::run(): throws FatalError on an architectural
-     * deadlock, reports budget exhaustion via
+     * execution trace through @p rec. Throws FatalError on an
+     * architectural deadlock, reports budget exhaustion via
      * InterpResult::completed.
      */
     InterpResult run(TraceRecorder *rec = nullptr);
+
+    /** run() with the chunk loop switched off: the reference every
+     *  faster path is checked against. Same contract as run(). */
+    InterpResult runReference();
 
     /** Architectural integer register of a thread (post-run). */
     std::uint32_t intReg(int thread, RegIndex idx) const;
@@ -119,11 +148,16 @@ class FastEngine
         Mapped      ///< QEN/QENF installed a queue mapping
     };
 
+    InterpResult runLoop(TraceRecorder *rec, bool chunked);
+
     template <bool Traced>
     ChunkExit runChunk(int tid, std::uint64_t &total,
                        TraceRecorder *rec);
 
-    /** One architectural step, faithful to Interpreter::step. */
+    /**
+     * One architectural step of thread @p tid.
+     * @return true if the thread made progress (false = blocked).
+     */
     bool stepGeneric(int tid, TraceRecorder *rec);
 
     /** The sole running thread if it is chunk-eligible (no queue
@@ -133,9 +167,11 @@ class FastEngine
     bool hasTopPriority(int tid) const;
     void rotatePriority();
     void removeFromRing(int tid);
+    /** Queue from LP @p src to its ring successor. */
     std::deque<std::uint64_t> &queueFrom(int src);
     std::deque<std::uint64_t> &queueInto(int dst);
 
+    /** Read an int source, honoring queue-register mappings. */
     bool readInt(Thread &t, int tid, RegIndex idx,
                  std::uint32_t &out);
     bool readFp(Thread &t, int tid, RegIndex idx, double &out);
@@ -155,7 +191,9 @@ class FastEngine
     Addr text_bytes_ = 0;
 
     std::vector<Thread> threads_;
+    /** Per-link FIFO: queues_[i] carries LP i -> LP i+1 data. */
     std::vector<std::deque<std::uint64_t>> queues_;
+    /** Priority ring, highest priority first (alive threads only). */
     std::vector<int> ring_;
 };
 
@@ -169,16 +207,6 @@ struct TracedRun
 /** Run the fast engine once, assembling the trace in memory. */
 TracedRun recordTrace(const Program &prog, MainMemory &mem,
                       const InterpConfig &cfg = {});
-
-/**
- * Same result, produced pipeline-style: the engine runs on its own
- * host thread streaming records through a bounded SPSC ring
- * (trace/spsc.hh) while the calling thread assembles the trace —
- * the deployment shape of the functional-first pipeline, where the
- * consumer is a timing model.
- */
-TracedRun recordTraceStreaming(const Program &prog, MainMemory &mem,
-                               const InterpConfig &cfg = {});
 
 } // namespace smtsim::fastpath
 

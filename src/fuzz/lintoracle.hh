@@ -9,7 +9,7 @@
  *
  *  - clean arm: a freshly generated fuzz program (deadlock-free by
  *    construction) must lint clean AND finish a bounded
- *    interpreter run. Any diagnostic is a lint false positive; any
+ *    reference run. Any diagnostic is a lint false positive; any
  *    hang is a generator bug. Both fail the cell.
  *  - injected arm: a program built from a known concurrency-bug
  *    class (queue wait-for cycle, rate-skewed ring, unsatisfiable

@@ -7,7 +7,6 @@
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
 #include "fastpath/engine.hh"
-#include "interp/interpreter.hh"
 #include "machine/manycore.hh"
 #include "machine/manycore_json.hh"
 #include "machine/run_stats_json.hh"
@@ -81,33 +80,15 @@ runEngine(const Program &prog, const RunConfig &rc,
     prog.loadInto(mem);
     try {
         switch (rc.engine) {
-          case Engine::Interp: {
-            InterpConfig cfg;
-            cfg.num_threads = rc.slots;
-            cfg.max_steps = budget.interp_max_steps;
-            Interpreter interp(prog, mem, cfg);
-            const InterpResult r = interp.run();
-            st.finished = r.completed;
-            st.instructions = r.steps;
-            for (int t = 0; t < rc.slots; ++t) {
-                std::array<std::uint32_t, kNumRegs> ir{};
-                std::array<std::uint64_t, kNumRegs> fr{};
-                for (int i = 0; i < kNumRegs; ++i) {
-                    ir[i] = interp.intReg(t, static_cast<RegIndex>(i));
-                    fr[i] =
-                        fpBits(interp.fpReg(t, static_cast<RegIndex>(i)));
-                }
-                st.iregs.push_back(ir);
-                st.fregs.push_back(fr);
-            }
-            break;
-          }
+          case Engine::Interp:
           case Engine::Fast: {
             InterpConfig cfg;
             cfg.num_threads = rc.slots;
             cfg.max_steps = budget.interp_max_steps;
             fastpath::FastEngine fast(prog, mem, cfg);
-            const InterpResult r = fast.run();
+            const InterpResult r = rc.engine == Engine::Interp
+                                       ? fast.runReference()
+                                       : fast.run();
             st.finished = r.completed;
             st.instructions = r.steps;
             for (int t = 0; t < rc.slots; ++t) {
@@ -301,8 +282,8 @@ buildGrid(const GenFeatures &features)
         return rc;
     };
 
-    // The fast engine must be architecturally indistinguishable
-    // from the interpreter at every logical-processor count.
+    // The chunk loop must be architecturally indistinguishable from
+    // reference stepping at every logical-processor count.
     for (int slots : {1, 2, 4, 8}) {
         RunConfig rc;
         rc.engine = Engine::Fast;

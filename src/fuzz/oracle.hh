@@ -1,16 +1,18 @@
 /**
  * @file
- * Differential oracle: run one program through the interpreter, the
- * baseline pipeline and the multithreaded core across a grid of
- * configurations and diff the architectural outcomes.
+ * Differential oracle: run one program through the functional
+ * engine, the baseline pipeline and the multithreaded core across a
+ * grid of configurations and diff the architectural outcomes.
  *
- * The reference for every comparison is the interpreter at the same
+ * The reference for every comparison is the functional engine's
+ * reference stepping (FastEngine::runReference) at the same
  * logical-processor count, because a fuzz program's final state is
  * only interleaving-independent *per thread count* (each thread owns
  * a private memory slice indexed by TID, and queue traffic wraps a
  * ring whose shape depends on S). The baseline engine executes the
  * thread-control instructions as no-ops, so it is compared against
- * interpreter(1) and skipped entirely for queue-register programs.
+ * the single-threaded reference and skipped entirely for
+ * queue-register programs.
  */
 
 #ifndef SMTSIM_FUZZ_ORACLE_HH
@@ -34,10 +36,10 @@ namespace smtsim::fuzz
 
 enum class Engine
 {
-    Interp,
+    Interp,     ///< fastpath::FastEngine::runReference
     Baseline,
     Core,
-    Fast        ///< threaded-code engine (fastpath::FastEngine)
+    Fast        ///< fastpath::FastEngine::run (chunk loop on)
 };
 
 /** One cell of the oracle grid. */

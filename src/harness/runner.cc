@@ -2,7 +2,6 @@
 
 #include "core/processor.hh"
 #include "fastpath/engine.hh"
-#include "interp/interpreter.hh"
 
 namespace smtsim
 {
@@ -93,30 +92,7 @@ runBaseline(const Workload &workload, const BaselineConfig &cfg)
 }
 
 Outcome
-runInterp(const Workload &workload, int num_threads)
-{
-    Outcome out;
-    MainMemory mem;
-    workload.program.loadInto(mem);
-    if (workload.init)
-        workload.init(mem);
-
-    InterpConfig cfg;
-    cfg.num_threads = num_threads;
-    Interpreter interp(workload.program, mem, cfg);
-    const InterpResult result = interp.run();
-    out.stats.instructions = result.steps;
-    out.stats.finished = result.completed;
-    if (!result.completed) {
-        out.error = workload.name + ": interpreter did not finish";
-        return out;
-    }
-    out.ok = verify(workload, mem, &out.error);
-    return out;
-}
-
-Outcome
-runFast(const Workload &workload, int num_threads)
+runFunctional(const Workload &workload, int num_threads)
 {
     Outcome out;
     MainMemory mem;
@@ -131,74 +107,12 @@ runFast(const Workload &workload, int num_threads)
     out.stats.instructions = result.steps;
     out.stats.finished = result.completed;
     if (!result.completed) {
-        out.error = workload.name + ": fast engine did not finish";
+        out.error =
+            workload.name + ": functional engine did not finish";
         return out;
     }
     out.ok = verify(workload, mem, &out.error);
     return out;
-}
-
-Outcome
-runCoreReplay(const Workload &workload, const CoreConfig &cfg,
-              bool *replayed)
-{
-    if (replayed)
-        *replayed = false;
-
-    // Functional pass: execute once with the fast engine, verify
-    // the outputs, keep the trace.
-    MainMemory fmem;
-    workload.program.loadInto(fmem);
-    if (workload.init)
-        workload.init(fmem);
-    InterpConfig icfg;
-    icfg.num_threads = cfg.num_slots;
-    icfg.queue_depth = cfg.queue_reg_depth;
-    const fastpath::TracedRun recorded =
-        fastpath::recordTrace(workload.program, fmem, icfg);
-
-    Outcome out;
-    if (!recorded.result.completed) {
-        out.error = workload.name + ": fast engine did not finish";
-        return out;
-    }
-    if (!verify(workload, fmem, &out.error))
-        return out;
-
-    return timeCoreFromTrace(workload, cfg, recorded.trace,
-                             replayed);
-}
-
-Outcome
-timeCoreFromTrace(const Workload &workload, const CoreConfig &cfg,
-                  const ExecTrace &trace, bool *replayed)
-{
-    if (replayed)
-        *replayed = false;
-    // Verified replay: execution is checked against the trace
-    // decision by decision, so the outputs need no second
-    // verification here.
-    try {
-        MainMemory tmem;
-        workload.program.loadInto(tmem);
-        if (workload.init)
-            workload.init(tmem);
-        MultithreadedProcessor cpu(workload.program, tmem, cfg);
-        cpu.setReplayTrace(&trace);
-        Outcome out;
-        out.stats = cpu.run();
-        if (!out.stats.finished) {
-            out.ok = false;
-            out.error = workload.name + ": cycle budget exhausted";
-            return out;
-        }
-        out.ok = true;
-        if (replayed)
-            *replayed = true;
-        return out;
-    } catch (const ReplayDivergence &) {
-        return runCore(workload, cfg);
-    }
 }
 
 double

@@ -14,7 +14,6 @@
 #include "core/config.hh"
 #include "machine/manycore.hh"
 #include "machine/run_stats.hh"
-#include "trace/exec_trace.hh"
 #include "workloads/workloads.hh"
 
 namespace smtsim
@@ -54,41 +53,11 @@ Outcome runBaseline(const Workload &workload,
                     const BaselineConfig &cfg = {});
 
 /**
- * Run on the functional interpreter (stats.instructions = executed
+ * Run on the functional engine (fastpath::FastEngine) with
+ * @p num_threads logical processors (stats.instructions = executed
  * instructions; cycle fields are zero).
  */
-Outcome runInterp(const Workload &workload, int num_threads = 1);
-
-/**
- * Run on the threaded-code fast engine (fastpath::FastEngine) —
- * same output shape as runInterp, typically several times faster.
- */
-Outcome runFast(const Workload &workload, int num_threads = 1);
-
-/**
- * Functional-first core run: record an execution trace with the
- * fast engine (verifying the workload's outputs functionally), then
- * time it on the multithreaded core in replay mode. Bit-identical
- * stats to runCore; falls back to runCore on ReplayDivergence. Sets
- * @p replayed (when non-null) to whether replay was actually used.
- */
-Outcome runCoreReplay(const Workload &workload,
-                      const CoreConfig &cfg,
-                      bool *replayed = nullptr);
-
-/**
- * The timing half of runCoreReplay on its own: time @p workload on
- * the multithreaded core in verified replay mode against a trace
- * recorded earlier (with matching num_threads == num_slots and
- * queue depth). Does not re-verify workload outputs — the caller
- * vouches for the functional pass. Falls back to runCore on
- * ReplayDivergence; @p replayed reports whether replay held. Used
- * by the lab executor to record once and time many grid cells.
- */
-Outcome timeCoreFromTrace(const Workload &workload,
-                          const CoreConfig &cfg,
-                          const ExecTrace &trace,
-                          bool *replayed = nullptr);
+Outcome runFunctional(const Workload &workload, int num_threads = 1);
 
 /**
  * The paper's speed-up ratio: sequential-baseline cycles over

@@ -4,12 +4,9 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <thread>
 
-#include "fastpath/engine.hh"
 #include "harness/runner.hh"
 #include "lab/cache.hh"
 
@@ -25,90 +22,6 @@ double
 secondsSince(Clock::time_point t0)
 {
     return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-/**
- * One shared functional pass for every core cell that times the
- * same (workload, slot count, queue depth) triple — the parameters
- * the recorded trace depends on. Recorded lazily by the first cell
- * that misses the cache, so fully cached groups never execute.
- */
-struct TraceGroup
-{
-    std::once_flag once;
-    bool ok = false;
-    std::string error;
-    fastpath::TracedRun recorded;
-};
-
-std::string
-traceGroupKey(const Job &job)
-{
-    return job.workload.canonical() + "/s" +
-           std::to_string(job.core.num_slots) + "/qd" +
-           std::to_string(job.core.queue_reg_depth);
-}
-
-/** Functional pass: execute once (streaming the trace off the
- *  engine thread) and verify the workload's outputs. */
-void
-recordGroup(const Job &job, TraceGroup &group)
-{
-    try {
-        const Workload workload = instantiate(job.workload);
-        MainMemory fmem;
-        workload.program.loadInto(fmem);
-        if (workload.init)
-            workload.init(fmem);
-        InterpConfig icfg;
-        icfg.num_threads = job.core.num_slots;
-        icfg.queue_depth = job.core.queue_reg_depth;
-        group.recorded = fastpath::recordTraceStreaming(
-            workload.program, fmem, icfg);
-        if (!group.recorded.result.completed) {
-            group.error = "fast engine did not finish";
-            return;
-        }
-        std::string why;
-        if (workload.check && !workload.check(fmem, &why)) {
-            group.error = why;
-            return;
-        }
-        group.ok = true;
-    } catch (const std::exception &e) {
-        group.error = e.what();
-    }
-}
-
-/** simulateJob's shape for the replay path: time one core cell
- *  against the group's trace (execute-mode fallback inside). */
-JobResult
-replayJob(const Job &job, const ExecTrace &trace,
-          double timeout_seconds, bool *replayed)
-{
-    JobResult r;
-    r.id = job.id;
-    r.key = job.cacheKey();
-    const auto t0 = Clock::now();
-    try {
-        const Workload workload = instantiate(job.workload);
-        const Outcome outcome =
-            timeCoreFromTrace(workload, job.core, trace, replayed);
-        r.ok = outcome.ok;
-        r.error = outcome.error;
-        r.stats = outcome.stats;
-    } catch (const std::exception &e) {
-        r.ok = false;
-        r.error = e.what();
-    }
-    r.wall_seconds = secondsSince(t0);
-    if (timeout_seconds > 0 && r.wall_seconds > timeout_seconds) {
-        r.ok = false;
-        r.error = "timeout: job took " +
-                  std::to_string(r.wall_seconds) + "s (budget " +
-                  std::to_string(timeout_seconds) + "s)";
-    }
-    return r;
 }
 
 } // namespace
@@ -132,7 +45,7 @@ simulateJob(const Job &job, double timeout_seconds,
             outcome = runBaseline(workload, job.baseline);
             break;
           case EngineKind::Interp:
-            outcome = runInterp(workload, job.interp_threads);
+            outcome = runFunctional(workload, job.interp_threads);
             break;
           case EngineKind::Machine: {
             MachineConfig mcfg;
@@ -175,12 +88,8 @@ simulateJob(const Job &job, double timeout_seconds,
     return r;
 }
 
-namespace
-{
-
 ResultSet
-runJobsImpl(const std::vector<Job> &jobs, const LabOptions &opts,
-            bool replay)
+runJobs(const std::vector<Job> &jobs, const LabOptions &opts)
 {
     // Apply the sweep-wide cycle clamp up front so cache keys see
     // the configuration that actually runs.
@@ -200,26 +109,11 @@ runJobsImpl(const std::vector<Job> &jobs, const LabOptions &opts,
     if (n == 0)
         return rs;
 
-    // Replay sweeps share one functional pass per trace group.
-    std::map<std::string, std::unique_ptr<TraceGroup>> groups;
-    if (replay) {
-        for (const Job &job : prepared) {
-            if (job.engine != EngineKind::Core)
-                continue;
-            auto &slot = groups[traceGroupKey(job)];
-            if (!slot)
-                slot = std::make_unique<TraceGroup>();
-        }
-    }
-
     const ResultCache cache(opts.cache_dir, opts.cache_max_bytes);
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::atomic<std::size_t> hits{0};
     std::atomic<std::size_t> failures{0};
-    std::atomic<std::size_t> functional_execs{0};
-    std::atomic<std::size_t> replays{0};
-    std::atomic<std::size_t> replay_fallbacks{0};
     std::mutex progress_mutex;
     const auto t0 = Clock::now();
 
@@ -232,32 +126,8 @@ runJobsImpl(const std::vector<Job> &jobs, const LabOptions &opts,
             const Job &job = prepared[i];
             JobResult result;
             if (!cache.load(job, &result)) {
-                TraceGroup *group = nullptr;
-                if (replay && job.engine == EngineKind::Core)
-                    group = groups.at(traceGroupKey(job)).get();
-                if (group) {
-                    std::call_once(group->once, [&] {
-                        recordGroup(job, *group);
-                        functional_execs.fetch_add(
-                            1, std::memory_order_relaxed);
-                    });
-                }
-                if (group && group->ok) {
-                    bool did_replay = false;
-                    result = replayJob(job, group->recorded.trace,
-                                       opts.timeout_seconds,
-                                       &did_replay);
-                    (did_replay ? replays : replay_fallbacks)
-                        .fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    // Execute mode: either a plain sweep, or the
-                    // functional pass failed — re-running the cell
-                    // reproduces the failure with execute-mode
-                    // error reporting.
-                    result =
-                        simulateJob(job, opts.timeout_seconds,
-                                    opts.machine_host_threads);
-                }
+                result = simulateJob(job, opts.timeout_seconds,
+                                     opts.machine_host_threads);
                 if (result.ok)
                     cache.store(job, result);
             }
@@ -313,27 +183,7 @@ runJobsImpl(const std::vector<Job> &jobs, const LabOptions &opts,
         for (std::thread &t : pool)
             t.join();
     }
-    rs.functional_executions =
-        functional_execs.load(std::memory_order_relaxed);
-    rs.replays = replays.load(std::memory_order_relaxed);
-    rs.replay_fallbacks =
-        replay_fallbacks.load(std::memory_order_relaxed);
     return rs;
-}
-
-} // namespace
-
-ResultSet
-runJobs(const std::vector<Job> &jobs, const LabOptions &opts,
-        bool replay)
-{
-    return runJobsImpl(jobs, opts, replay);
-}
-
-ResultSet
-runSweep(const ExperimentSpec &spec, const LabOptions &opts)
-{
-    return runJobsImpl(spec.expand(), opts, spec.replay);
 }
 
 ProgressFn

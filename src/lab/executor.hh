@@ -105,21 +105,9 @@ struct LabOptions
 JobResult simulateJob(const Job &job, double timeout_seconds = 0.0,
                       int machine_host_threads = 0);
 
-/**
- * Run a pre-expanded job list. With @p replay set, core jobs use
- * the functional-first pipeline: one fast-engine pass per
- * (workload, slots, queue depth) group records a trace and
- * verifies outputs, then each cell is timed in verified replay
- * mode (execute-mode fallback on divergence). Results are
- * bit-identical either way — see ExperimentSpec::replay.
- */
+/** Run a pre-expanded job list (ExperimentSpec::expand()). */
 ResultSet runJobs(const std::vector<Job> &jobs,
-                  const LabOptions &opts = {},
-                  bool replay = false);
-
-/** expand() + runJobs(), honoring spec.replay. */
-ResultSet runSweep(const ExperimentSpec &spec,
-                   const LabOptions &opts = {});
+                  const LabOptions &opts = {});
 
 /**
  * Progress printer for interactive use: one \r-rewritten status

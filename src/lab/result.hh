@@ -37,16 +37,6 @@ struct ResultSet
 {
     std::vector<JobResult> results;
 
-    // Functional-first pipeline counters (replay sweeps only; all
-    // zero for execute-mode sweeps). Not serialized: sweep results
-    // must compare equal however they were produced.
-    /** Functional (fast-engine) passes actually executed. */
-    std::size_t functional_executions = 0;
-    /** Core cells timed in verified replay mode. */
-    std::size_t replays = 0;
-    /** Core cells that diverged and re-ran in execute mode. */
-    std::size_t replay_fallbacks = 0;
-
     /** Lookup by job id; nullptr when absent. */
     const JobResult *find(const std::string &id) const;
 

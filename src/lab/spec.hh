@@ -200,17 +200,6 @@ struct ExperimentSpec
     bool include_baseline = false;
     BaselineConfig baseline_template;
 
-    /**
-     * Functional-first execution (docs/PERF.md): record each
-     * workload's execution trace once with the fast engine, verify
-     * its outputs once, then time every core grid cell in verified
-     * replay mode. Results are bit-identical to an execute-mode
-     * sweep (cells whose control flow is interleaving-dependent
-     * fall back to execute mode automatically), so expand() — and
-     * therefore every cache key — is unaffected by this flag.
-     */
-    bool replay = false;
-
     /** Most jobs one spec may expand to (a spec is outside input,
      *  e.g. from a smtsim-serve client). */
     static constexpr std::size_t kMaxJobs = std::size_t{1} << 16;

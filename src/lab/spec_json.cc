@@ -414,7 +414,6 @@ experimentSpecToJson(const ExperimentSpec &spec)
     j.set("include_baseline", Json(spec.include_baseline));
     j.set("baseline_template",
           baselineConfigToJson(spec.baseline_template));
-    j.set("replay", Json(spec.replay));
     return j;
 }
 
@@ -425,8 +424,7 @@ experimentSpecFromJson(const Json &j)
                  {"name", "workloads", "slots", "frames", "lsu",
                   "widths", "standby", "rotation_intervals",
                   "cores", "core_template", "machine_template",
-                  "include_baseline", "baseline_template",
-                  "replay"});
+                  "include_baseline", "baseline_template"});
     ExperimentSpec spec;
     spec.name = j.at("name").asString();
     const Json &workloads = j.at("workloads");
@@ -483,8 +481,6 @@ experimentSpecFromJson(const Json &j)
         spec.include_baseline = v->asBool();
     if (const Json *v = j.find("baseline_template"))
         spec.baseline_template = baselineConfigFromJson(*v);
-    if (const Json *v = j.find("replay"))
-        spec.replay = v->asBool();
     return spec;
 }
 

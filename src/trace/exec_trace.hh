@@ -1,33 +1,23 @@
 /**
  * @file
- * Compact execution traces for trace-driven timing (`SMTTRC1`).
+ * In-memory execution traces for verified replay of the detailed
+ * core (docs/PERF.md section 4).
  *
- * The functional-first pipeline (docs/PERF.md) records, per thread,
- * exactly the data-dependent decisions a timing model cannot
- * recompute without architectural values:
+ * The fast engine records, per thread, exactly the data-dependent
+ * decisions a timing model cannot recompute without architectural
+ * values:
  *
  *  - every *resolved* branch outcome (conditional branches and the
  *    register-indirect JR/JALR; J/JAL targets are static),
  *  - every memory-access effective address, in program order,
  *  - every queue-register push with its value (informational; the
  *    timing models re-derive queue occupancy structurally).
- *
- * Fetch-block PCs are fully determined by the entry point plus the
- * branch records, so they are served as a derived view
- * (fetchBlockPcs()) rather than stored.
- *
- * The on-disk format mirrors the SMTEVT1 event stream
- * (obs/sinks.hh): little-endian fixed-width records behind a u64
- * magic, written with obs::ByteWriter. load() throws
- * std::runtime_error on truncation, magic mismatch or implausible
- * counts instead of misparsing.
  */
 
 #ifndef SMTSIM_TRACE_EXEC_TRACE_HH
 #define SMTSIM_TRACE_EXEC_TRACE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <stdexcept>
 #include <vector>
 
@@ -47,9 +37,6 @@ struct ReplayDivergence : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
-
-/** "SMTTRC1\0", little-endian, same layout rule as kEventMagic. */
-constexpr std::uint64_t kExecTraceMagic = 0x0031435254544d53ull;
 
 /** One resolved control transfer (conditional or indirect). */
 struct BranchRec
@@ -92,28 +79,11 @@ struct ThreadTrace
 };
 
 /** A full recorded execution: one ThreadTrace per logical
- *  processor, indexed by interpreter thread id. */
+ *  processor, indexed by engine thread id. */
 struct ExecTrace
 {
     Addr entry = 0;
     std::vector<ThreadTrace> threads;
-
-    /**
-     * Fetch-block start addresses of one thread, derived from the
-     * entry point and the recorded branch targets: the blocks a
-     * fetch unit walking this trace would request.
-     */
-    std::vector<Addr> fetchBlockPcs(int tid) const;
-
-    /** Serialize as SMTTRC1. */
-    void save(std::ostream &os) const;
-
-    /**
-     * Parse an SMTTRC1 stream.
-     * @throws std::runtime_error on bad magic, truncation or
-     *         implausible record counts.
-     */
-    static ExecTrace load(std::istream &is);
 
     bool operator==(const ExecTrace &) const = default;
 };
@@ -169,45 +139,6 @@ class TraceBuilder final : public TraceRecorder
   private:
     ExecTrace trace_;
 };
-
-/** One record in flight between producer and consumer threads. */
-struct StreamRec
-{
-    enum class Kind : std::uint8_t { Branch, Mem, QueuePush };
-    Kind kind = Kind::Branch;
-    std::uint8_t tid = 0;
-    Addr pc = 0;
-    std::uint64_t payload = 0;  ///< next pc / address / value
-};
-
-template <typename T>
-class SpscRing;
-
-/** Recorder that streams records into an SPSC ring (producer side
- *  of the two-thread pipeline). */
-class StreamingRecorder final : public TraceRecorder
-{
-  public:
-    explicit StreamingRecorder(SpscRing<StreamRec> &ring)
-        : ring_(ring)
-    {
-    }
-
-    void onBranch(int tid, Addr pc, Addr next) override;
-    void onMem(int tid, Addr pc, Addr addr) override;
-    void onQueuePush(int tid, Addr pc,
-                     std::uint64_t value) override;
-
-  private:
-    SpscRing<StreamRec> &ring_;
-};
-
-/**
- * Consumer side: drain @p ring until it is closed and empty,
- * appending records into @p out (whose thread vector must already
- * be sized). Runs on its own host thread in the pipeline.
- */
-void drainStream(SpscRing<StreamRec> &ring, ExecTrace &out);
 
 } // namespace smtsim
 

@@ -26,8 +26,8 @@ TEST(Matmul, CorrectOnAllEngines)
     MatmulParams p;
     p.n = 8;
     const Workload w = makeMatmul(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
-    EXPECT_TRUE(runInterp(w, 4).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 4).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     for (int s : {1, 2, 4, 8})
         EXPECT_TRUE(runCore(w, slots(s)).ok) << "slots " << s;
@@ -75,8 +75,8 @@ TEST(Bsearch, CorrectOnAllEngines)
     p.table_size = 64;
     p.queries_per_thread = 16;
     const Workload w = makeBsearch(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
-    EXPECT_TRUE(runInterp(w, 3).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 3).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     for (int s : {1, 2, 4, 8})
         EXPECT_TRUE(runCore(w, slots(s)).ok) << "slots " << s;
@@ -114,8 +114,8 @@ TEST(Radiosity, CorrectOnAllEngines)
     RadiosityParams p;
     p.num_patches = 12;
     const Workload w = makeRadiosity(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
-    EXPECT_TRUE(runInterp(w, 4).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 4).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     for (int s : {1, 2, 4, 8})
         EXPECT_TRUE(runCore(w, slots(s)).ok) << "slots " << s;
@@ -188,8 +188,8 @@ TEST(Stencil, CorrectOnAllEngines)
     p.height = 7;
     p.sweeps = 2;
     const Workload w = makeStencil(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
-    EXPECT_TRUE(runInterp(w, 4).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 4).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     for (int s : {1, 2, 3, 4, 8})
         EXPECT_TRUE(runCore(w, slots(s)).ok) << "slots " << s;

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
+#include "fastpath/engine.hh"
 #include "harness/runner.hh"
-#include "interp/interpreter.hh"
 #include "mem/cache.hh"
 #include "trace/synth.hh"
 
@@ -229,8 +229,8 @@ TEST(FiniteCache, EquivalenceWithInterpreterUnderMisses)
     prog.loadInto(im);
     InterpConfig icfg;
     icfg.num_threads = 4;
-    Interpreter interp(prog, im, icfg);
-    ASSERT_TRUE(interp.run().completed);
+    fastpath::FastEngine interp(prog, im, icfg);
+    ASSERT_TRUE(interp.runReference().completed);
 
     MainMemory cm;
     prog.loadInto(cm);

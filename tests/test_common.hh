@@ -12,7 +12,7 @@
 #include "asmr/assembler.hh"
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
-#include "interp/interpreter.hh"
+#include "fastpath/engine.hh"
 #include "mem/memory.hh"
 
 namespace smtsim::test
@@ -58,16 +58,18 @@ runCoreAsm(std::string_view source, const CoreConfig &cfg = {},
     return stats;
 }
 
-/** Run @p source on the functional interpreter. */
+/** Run @p source on the functional engine: reference stepping, or
+ *  the chunk loop when @p chunked. */
 inline InterpResult
 runInterpAsm(std::string_view source, int threads = 1,
-             MainMemory *mem_out = nullptr)
+             MainMemory *mem_out = nullptr, bool chunked = false)
 {
     Machine m(source);
     InterpConfig cfg;
     cfg.num_threads = threads;
-    Interpreter interp(m.prog, m.mem, cfg);
-    InterpResult result = interp.run();
+    fastpath::FastEngine engine(m.prog, m.mem, cfg);
+    InterpResult result =
+        chunked ? engine.run() : engine.runReference();
     if (mem_out)
         *mem_out = m.mem;
     return result;

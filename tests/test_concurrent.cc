@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "asmr/assembler.hh"
-#include "interp/interpreter.hh"
+#include "fastpath/engine.hh"
 #include "lab/lab.hh"
 #include "trace/synth.hh"
 #include "core/processor.hh"
@@ -248,8 +248,8 @@ TEST(Concurrent, EquivalenceUnderTrapsOnSyntheticKernel)
     prog.loadInto(im);
     InterpConfig icfg;
     icfg.num_threads = 2;
-    Interpreter interp(prog, im, icfg);
-    ASSERT_TRUE(interp.run().completed);
+    fastpath::FastEngine interp(prog, im, icfg);
+    ASSERT_TRUE(interp.runReference().completed);
 
     MainMemory cm;
     prog.loadInto(cm);

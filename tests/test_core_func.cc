@@ -30,8 +30,8 @@ expectCoreMatchesInterp(const SynthParams &params,
     prog.loadInto(im);
     InterpConfig icfg;
     icfg.num_threads = cfg.num_slots;
-    Interpreter interp(prog, im, icfg);
-    ASSERT_TRUE(interp.run().completed);
+    fastpath::FastEngine interp(prog, im, icfg);
+    ASSERT_TRUE(interp.runReference().completed);
 
     MainMemory cm;
     prog.loadInto(cm);
@@ -138,8 +138,8 @@ TEST(CoreFunc, BaselineMatchesInterpreterOnSyntheticKernel)
 
     MainMemory im;
     prog.loadInto(im);
-    Interpreter interp(prog, im);
-    ASSERT_TRUE(interp.run().completed);
+    fastpath::FastEngine interp(prog, im);
+    ASSERT_TRUE(interp.runReference().completed);
 
     MainMemory bm;
     prog.loadInto(bm);
@@ -162,8 +162,8 @@ TEST(CoreFunc, InstructionCountsMatchInterpreter)
     prog.loadInto(im);
     InterpConfig icfg;
     icfg.num_threads = 4;
-    Interpreter interp(prog, im, icfg);
-    const InterpResult ir = interp.run();
+    fastpath::FastEngine interp(prog, im, icfg);
+    const InterpResult ir = interp.runReference();
 
     MainMemory cm;
     prog.loadInto(cm);

@@ -30,7 +30,7 @@ TEST(Eager, FullWalkCorrectOnAllEngines)
     for (int slots : {1, 2, 3, 4, 6, 8}) {
         const Outcome c = runCore(w, eagerConfig(slots));
         EXPECT_TRUE(c.ok) << "slots=" << slots << ": " << c.error;
-        const Outcome i = runInterp(w, slots);
+        const Outcome i = runFunctional(w, slots);
         EXPECT_TRUE(i.ok) << "interp slots=" << slots << ": "
                           << i.error;
     }

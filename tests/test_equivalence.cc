@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "base/logging.hh"
+#include "fastpath/engine.hh"
 #include "harness/runner.hh"
-#include "interp/interpreter.hh"
 #include "test_common.hh"
 #include "trace/synth.hh"
 
@@ -36,8 +36,8 @@ TEST_P(BaselineSeeds, BaselineMatchesInterpreter)
 
     MainMemory im;
     prog.loadInto(im);
-    Interpreter interp(prog, im);
-    const InterpResult ir = interp.run();
+    fastpath::FastEngine interp(prog, im);
+    const InterpResult ir = interp.runReference();
     ASSERT_TRUE(ir.completed);
 
     MainMemory bm;
@@ -81,11 +81,11 @@ TEST(Equivalence, ThreeWayAgreementOnEveryWorkload)
         makeRecurrence(cp),
     };
     for (const Workload &w : workloads) {
-        const Outcome interp1 = runInterp(w, 1);
+        const Outcome interp1 = runFunctional(w, 1);
         const Outcome base = runBaseline(w);
         CoreConfig cfg;
         cfg.num_slots = 2;
-        const Outcome interp2 = runInterp(w, cfg.num_slots);
+        const Outcome interp2 = runFunctional(w, cfg.num_slots);
         const Outcome core = runCore(w, cfg);
         EXPECT_TRUE(interp1.ok) << w.name << " interp";
         EXPECT_TRUE(base.ok) << w.name << " baseline";
@@ -115,8 +115,8 @@ TEST(Equivalence, TrapParityOnUndecodableWord)
         prog.loadInto(mem);
         EXPECT_THROW(
             {
-                Interpreter interp(prog, mem);
-                interp.run();
+                fastpath::FastEngine interp(prog, mem);
+                interp.runReference();
             },
             FatalError);
     }
@@ -193,8 +193,8 @@ TEST(Equivalence, InterpreterBudgetExhaustionReported)
     Machine m("main: j main\n");
     InterpConfig cfg;
     cfg.max_steps = 1000;
-    Interpreter interp(m.prog, m.mem, cfg);
-    const InterpResult r = interp.run();
+    fastpath::FastEngine interp(m.prog, m.mem, cfg);
+    const InterpResult r = interp.runReference();
     EXPECT_FALSE(r.completed);
     EXPECT_EQ(r.steps, 1000u);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * FastEngine vs Interpreter bit-equality: the threaded-code engine
- * must be indistinguishable from the golden model — step counts,
+ * Chunk loop vs reference stepping: FastEngine::run must be
+ * indistinguishable from FastEngine::runReference — step counts,
  * per-thread counts, registers, memory, completion and error
  * behaviour — across every workload class, with and without trace
  * recording. (The fuzzer's `fast` differential cells extend this to
@@ -13,7 +13,6 @@
 #include "base/logging.hh"
 #include "fastpath/engine.hh"
 #include "harness/runner.hh"
-#include "interp/interpreter.hh"
 #include "test_common.hh"
 #include "trace/synth.hh"
 #include "workloads/workloads.hh"
@@ -24,9 +23,9 @@ using namespace smtsim::test;
 namespace
 {
 
-/** Run @p w on both functional engines and require bit-identical
- *  architectural outcomes. Returns the recorded trace. */
-ExecTrace
+/** Run @p w with and without the chunk loop and require
+ *  bit-identical architectural outcomes. */
+void
 expectBitIdentical(const Workload &w, int num_threads,
                    bool check_outputs = true)
 {
@@ -37,8 +36,8 @@ expectBitIdentical(const Workload &w, int num_threads,
     w.program.loadInto(im);
     if (w.init)
         w.init(im);
-    Interpreter interp(w.program, im, cfg);
-    const InterpResult ir = interp.run();
+    fastpath::FastEngine interp(w.program, im, cfg);
+    const InterpResult ir = interp.runReference();
 
     MainMemory fm;
     w.program.loadInto(fm);
@@ -76,7 +75,6 @@ expectBitIdentical(const Workload &w, int num_threads,
                 << w.name << " t" << t << " r" << r;
         }
     }
-    return traced.trace;
 }
 
 } // namespace
@@ -169,52 +167,6 @@ TEST(Fastpath, SyntheticKernelsBitIdentical)
     }
 }
 
-TEST(Fastpath, StreamingTraceMatchesInMemoryTrace)
-{
-    MatmulParams mp;
-    mp.n = 5;
-    const Workload w = makeMatmul(mp);
-    InterpConfig cfg;
-    cfg.num_threads = 4;
-
-    MainMemory m1;
-    w.program.loadInto(m1);
-    if (w.init)
-        w.init(m1);
-    const fastpath::TracedRun direct =
-        fastpath::recordTrace(w.program, m1, cfg);
-
-    MainMemory m2;
-    w.program.loadInto(m2);
-    if (w.init)
-        w.init(m2);
-    const fastpath::TracedRun streamed =
-        fastpath::recordTraceStreaming(w.program, m2, cfg);
-
-    EXPECT_EQ(streamed.trace, direct.trace);
-    EXPECT_EQ(streamed.result.steps, direct.result.steps);
-}
-
-TEST(Fastpath, RecordedTraceRoundTripsThroughSmttrc1)
-{
-    BsearchParams bp;
-    bp.table_size = 32;
-    bp.queries_per_thread = 8;
-    const Workload w = makeBsearch(bp);
-    MainMemory mem;
-    w.program.loadInto(mem);
-    if (w.init)
-        w.init(mem);
-    InterpConfig cfg;
-    cfg.num_threads = 2;
-    const fastpath::TracedRun traced =
-        fastpath::recordTrace(w.program, mem, cfg);
-
-    std::stringstream ss;
-    traced.trace.save(ss);
-    EXPECT_EQ(ExecTrace::load(ss), traced.trace);
-}
-
 TEST(Fastpath, StrayFetchTrapsLikeInterpreter)
 {
     Machine m("main:   addi r8, r0, 1\n"
@@ -242,17 +194,17 @@ TEST(Fastpath, UndecodableWordTrapsLikeInterpreter)
 TEST(Fastpath, DeadlockReportedLikeInterpreter)
 {
     // A single thread reading an empty queue register with no
-    // producer deadlocks in both engines, with the same message.
+    // producer deadlocks in both modes, with the same message.
     const std::string_view src = "main:   qen r4, r5\n"
                                  "        add r6, r4, r4\n"
                                  "        halt\n";
     std::string interp_what, fast_what;
     {
         Machine m(src);
-        Interpreter interp(m.prog, m.mem);
+        fastpath::FastEngine interp(m.prog, m.mem);
         try {
-            interp.run();
-            FAIL() << "interpreter did not deadlock";
+            interp.runReference();
+            FAIL() << "reference did not deadlock";
         } catch (const FatalError &e) {
             interp_what = e.what();
         }
@@ -285,9 +237,8 @@ TEST(Fastpath, HarnessRunnerVerifiesOutputs)
 {
     MatmulParams mp;
     mp.n = 4;
-    const Workload w = makeMatmul(mp);
-    const Outcome fast = runFast(w, 2);
-    const Outcome interp = runInterp(w, 2);
+    const Outcome fast = runFunctional(makeMatmul(mp), 2);
     EXPECT_TRUE(fast.ok) << fast.error;
-    EXPECT_EQ(fast.stats.instructions, interp.stats.instructions);
+    EXPECT_TRUE(fast.stats.finished);
+    EXPECT_GT(fast.stats.instructions, 0u);
 }

@@ -6,10 +6,28 @@
 using namespace smtsim;
 using namespace smtsim::test;
 
-TEST(Interp, ArithmeticAndMemory)
+namespace
+{
+
+/** Every case runs twice: reference stepping and the chunk loop
+ *  must both get each architectural rule right. */
+class Interp : public ::testing::TestWithParam<bool>
+{
+  protected:
+    static InterpResult
+    run(std::string_view source, int threads = 1,
+        MainMemory *mem = nullptr)
+    {
+        return runInterpAsm(source, threads, mem, GetParam());
+    }
+};
+
+} // namespace
+
+TEST_P(Interp, ArithmeticAndMemory)
 {
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   addi r1, r0, 21
         add  r2, r1, r1
         la   r3, out
@@ -18,16 +36,16 @@ main:   addi r1, r0, 21
         .data
 out:    .word 0
 )",
-                                1, &mem);
+                       1, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(r.steps, 6u);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 42u);
 }
 
-TEST(Interp, LoopAndBranches)
+TEST_P(Interp, LoopAndBranches)
 {
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   li   r1, 10
         li   r2, 0
 loop:   add  r2, r2, r1
@@ -39,15 +57,15 @@ loop:   add  r2, r2, r1
         .data
 out:    .word 0
 )",
-                                1, &mem);
+                       1, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 55u);
 }
 
-TEST(Interp, JalAndJr)
+TEST_P(Interp, JalAndJr)
 {
     MainMemory mem;
-    runInterpAsm(R"(
+    run(R"(
 main:   jal  sub
         la   r3, out
         sw   r2, 0(r3)
@@ -57,14 +75,14 @@ sub:    addi r2, r0, 99
         .data
 out:    .word 0
 )",
-                 1, &mem);
+        1, &mem);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 99u);
 }
 
-TEST(Interp, FpPipeline)
+TEST_P(Interp, FpPipeline)
 {
     MainMemory mem;
-    runInterpAsm(R"(
+    run(R"(
 main:   la   r1, in
         lf   f1, 0(r1)
         lf   f2, 8(r1)
@@ -77,14 +95,14 @@ main:   la   r1, in
 in:     .float 8.0, 2.0
 out:    .float 0.0
 )",
-                 1, &mem);
+        1, &mem);
     EXPECT_DOUBLE_EQ(mem.readDouble(kDefaultDataBase + 16), 2.0);
 }
 
-TEST(Interp, FastForkActivatesAllThreads)
+TEST_P(Interp, FastForkActivatesAllThreads)
 {
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   la   r1, outs
         fastfork
         tid  r2
@@ -96,7 +114,7 @@ main:   la   r1, outs
         .data
 outs:   .word 0, 0, 0, 0
 )",
-                                4, &mem);
+                       4, &mem);
     EXPECT_TRUE(r.completed);
     for (int t = 0; t < 4; ++t) {
         EXPECT_EQ(mem.read32(kDefaultDataBase +
@@ -108,10 +126,10 @@ outs:   .word 0, 0, 0, 0
     EXPECT_GT(r.per_thread_steps[1], 0u);
 }
 
-TEST(Interp, ForkCopiesParentRegisters)
+TEST_P(Interp, ForkCopiesParentRegisters)
 {
     MainMemory mem;
-    runInterpAsm(R"(
+    run(R"(
 main:   li   r5, 77
         la   r1, outs
         fastfork
@@ -123,16 +141,16 @@ main:   li   r5, 77
         .data
 outs:   .word 0, 0
 )",
-                 2, &mem);
+        2, &mem);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 77u);
     EXPECT_EQ(mem.read32(kDefaultDataBase + 4), 77u);
 }
 
-TEST(Interp, QueueRegistersRelayValues)
+TEST_P(Interp, QueueRegistersRelayValues)
 {
     // Thread 0 sends 5 to thread 1; thread 1 doubles and stores.
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   qen  r20, r21
         fastfork
         tid  r2
@@ -147,16 +165,16 @@ recv:   add  r3, r20, r0    # dequeue
         .data
 out:    .word 0
 )",
-                                2, &mem);
+                       2, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 10u);
 }
 
-TEST(Interp, QueueBlockingIsNotDeadlockWhenProducerComes)
+TEST_P(Interp, QueueBlockingIsNotDeadlockWhenProducerComes)
 {
     // Consumer starts first but producer eventually pushes.
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   qen  r20, r21
         fastfork
         tid  r2
@@ -173,29 +191,29 @@ prod:   nop
         .data
 out:    .word 0
 )",
-                                2, &mem);
+                       2, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 123u);
 }
 
-TEST(Interp, DeadlockDetected)
+TEST_P(Interp, DeadlockDetected)
 {
     // Single thread popping an empty queue can never progress.
-    EXPECT_THROW(runInterpAsm(R"(
+    EXPECT_THROW(run(R"(
 main:   qen  r20, r21
         add  r1, r20, r0
         halt
 )",
-                              1),
+                     1),
                  FatalError);
 }
 
-TEST(Interp, ChgpriRotatesAndBlocksNonTop)
+TEST_P(Interp, ChgpriRotatesAndBlocksNonTop)
 {
     // Threads store their tid in priority order: each thread waits
     // for the top priority before storing via pstw, then rotates.
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   la   r1, out
         fastfork
         tid  r2
@@ -205,16 +223,16 @@ main:   la   r1, out
         .data
 out:    .word 0
 )",
-                                4, &mem);
+                       4, &mem);
     EXPECT_TRUE(r.completed);
     // The last store wins: thread 3 stores last.
     EXPECT_EQ(mem.read32(kDefaultDataBase), 3u);
 }
 
-TEST(Interp, KilltStopsOtherThreads)
+TEST_P(Interp, KilltStopsOtherThreads)
 {
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   la   r1, out
         fastfork
         tid  r2
@@ -227,17 +245,17 @@ spin:   j    spin           # would never halt without the kill
         .data
 out:    .word 0
 )",
-                                4, &mem);
+                       4, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 7u);
 }
 
-TEST(Interp, HaltedThreadLeavesPriorityRing)
+TEST_P(Interp, HaltedThreadLeavesPriorityRing)
 {
     // Thread 0 halts immediately; thread 1 must still get the top
     // priority for its pstw.
     MainMemory mem;
-    const auto r = runInterpAsm(R"(
+    const auto r = run(R"(
 main:   la   r1, out
         fastfork
         tid  r2
@@ -248,15 +266,15 @@ quit:   halt
         .data
 out:    .word 0
 )",
-                                2, &mem);
+                       2, &mem);
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 1u);
 }
 
-TEST(Interp, R0AlwaysZero)
+TEST_P(Interp, R0AlwaysZero)
 {
     MainMemory mem;
-    runInterpAsm(R"(
+    run(R"(
 main:   addi r0, r0, 55
         la   r1, out
         sw   r0, 0(r1)
@@ -264,14 +282,14 @@ main:   addi r0, r0, 55
         .data
 out:    .word 0xffffffff
 )",
-                 1, &mem);
+        1, &mem);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 0u);
 }
 
-TEST(Interp, TidAndNslot)
+TEST_P(Interp, TidAndNslot)
 {
     MainMemory mem;
-    runInterpAsm(R"(
+    run(R"(
 main:   nslot r1
         tid  r2
         la   r3, out
@@ -281,36 +299,21 @@ main:   nslot r1
         .data
 out:    .word 0, 9
 )",
-                 3, &mem);
+        3, &mem);
     EXPECT_EQ(mem.read32(kDefaultDataBase), 3u);
     EXPECT_EQ(mem.read32(kDefaultDataBase + 4), 0u);
 }
 
-TEST(Interp, QenValidation)
+TEST_P(Interp, QenValidation)
 {
-    EXPECT_THROW(runInterpAsm("main: qen r0, r1\nhalt\n", 1),
+    EXPECT_THROW(run("main: qen r0, r1\nhalt\n", 1),
                  FatalError);
-    EXPECT_THROW(runInterpAsm("main: qen r5, r5\nhalt\n", 1),
+    EXPECT_THROW(run("main: qen r5, r5\nhalt\n", 1),
                  FatalError);
 }
 
-TEST(Interp, TraceHookSeesEveryInstruction)
-{
-    Machine m(R"(
-main:   addi r1, r0, 2
-loop:   addi r1, r1, -1
-        bgtz r1, loop
-        halt
-)");
-    Interpreter interp(m.prog, m.mem);
-    std::vector<Addr> pcs;
-    interp.setTraceHook([&](int, Addr pc, const Insn &) {
-        pcs.push_back(pc);
+INSTANTIATE_TEST_SUITE_P(
+    Modes, Interp, ::testing::Values(false, true),
+    [](const ::testing::TestParamInfo<bool> &info) {
+        return info.param ? "Chunked" : "Reference";
     });
-    const auto r = interp.run();
-    EXPECT_EQ(pcs.size(), r.steps);
-    ASSERT_EQ(pcs.size(), 6u);
-    EXPECT_EQ(pcs[0], m.prog.entry);
-    EXPECT_EQ(pcs[1], m.prog.entry + 4);   // first loop iteration
-    EXPECT_EQ(pcs[3], m.prog.entry + 4);   // second loop iteration
-}

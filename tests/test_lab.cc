@@ -425,6 +425,23 @@ TEST(LabSpec, InstantiateRejectsUnknownParams)
     EXPECT_THROW(instantiate(wl), std::invalid_argument);
 }
 
+TEST(LabSpec, JsonRejectsReplayMember)
+{
+    // A spec written for a replay sweep must be refused by name,
+    // not silently run as a plain sweep.
+    const Json j = Json::parse(
+        R"({"name": "old", "replay": true,)"
+        R"( "workloads": [{"kind": "matmul", "params": {"n": 4}}]})");
+    try {
+        experimentSpecFromJson(j);
+        FAIL() << "replay member accepted";
+    } catch (const JsonParseError &e) {
+        EXPECT_NE(std::string(e.what()).find("\"replay\""),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(LabResult, JsonRoundTrip)
 {
     LabOptions opts;

@@ -74,7 +74,7 @@ TEST(Predecode, EnginesStillAgreeWithTheFunctionalOracle)
     MatmulParams mp;
     mp.n = 4;
     const Workload w = makeMatmul(mp);
-    const Outcome interp = runInterp(w, 1);
+    const Outcome interp = runFunctional(w, 1);
     const Outcome baseline = runBaseline(w);
     CoreConfig cfg;
     cfg.num_slots = 2;

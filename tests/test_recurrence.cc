@@ -31,7 +31,7 @@ coreCfg(int slots, bool explicit_rotation)
 TEST(Recurrence, SequentialCorrectEverywhere)
 {
     const Workload w = make(RecurrenceVariant::Sequential);
-    EXPECT_TRUE(runInterp(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     EXPECT_TRUE(runCore(w, coreCfg(1, false)).ok);
 }
@@ -43,7 +43,7 @@ TEST(Recurrence, QueueDoacrossCorrectAcrossSlotCounts)
         const Outcome o = runCore(w, coreCfg(slots, true));
         EXPECT_TRUE(o.ok) << "slots=" << slots << ": " << o.error;
     }
-    EXPECT_TRUE(runInterp(w, 4).ok);
+    EXPECT_TRUE(runFunctional(w, 4).ok);
 }
 
 TEST(Recurrence, MemoryDoacrossCorrectAcrossSlotCounts)

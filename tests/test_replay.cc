@@ -3,17 +3,17 @@
  * Trace-driven replay on the detailed core: a run timed from a
  * recorded execution trace must produce bit-identical statistics to
  * the same run in execute mode, and workloads whose timing feeds
- * back into execution (KILLT races) must fall back cleanly.
+ * back into execution (KILLT races, spin waits) must be caught as
+ * diverging, so a caller can fall back to execute mode.
  */
+
+#include <optional>
 
 #include <gtest/gtest.h>
 
 #include "core/processor.hh"
 #include "fastpath/engine.hh"
 #include "harness/runner.hh"
-#include "lab/executor.hh"
-#include "lab/spec.hh"
-#include "lab/spec_json.hh"
 #include "mem/memory.hh"
 #include "workloads/workloads.hh"
 
@@ -46,16 +46,46 @@ expectStatsEqual(const RunStats &a, const RunStats &b,
     EXPECT_EQ(a.icache_misses, b.icache_misses) << label;
 }
 
+/**
+ * Record @p w with the fast engine, then time it on the core in
+ * verified replay mode. nullopt when the core departs from the
+ * trace (ReplayDivergence).
+ */
+std::optional<RunStats>
+recordThenReplay(const Workload &w, const CoreConfig &cfg)
+{
+    InterpConfig icfg;
+    icfg.num_threads = cfg.num_slots;
+    icfg.queue_depth = cfg.queue_reg_depth;
+    MainMemory fmem;
+    w.program.loadInto(fmem);
+    if (w.init)
+        w.init(fmem);
+    const fastpath::TracedRun recorded =
+        fastpath::recordTrace(w.program, fmem, icfg);
+    EXPECT_TRUE(recorded.result.completed) << w.name;
+
+    MainMemory tmem;
+    w.program.loadInto(tmem);
+    if (w.init)
+        w.init(tmem);
+    MultithreadedProcessor cpu(w.program, tmem, cfg);
+    cpu.setReplayTrace(&recorded.trace);
+    try {
+        return cpu.run();
+    } catch (const ReplayDivergence &) {
+        return std::nullopt;
+    }
+}
+
 void
 expectReplayMatchesExecute(const Workload &w, const CoreConfig &cfg)
 {
     const Outcome exec = runCore(w, cfg);
     ASSERT_TRUE(exec.ok) << w.name << ": " << exec.error;
-    bool replayed = false;
-    const Outcome rep = runCoreReplay(w, cfg, &replayed);
-    ASSERT_TRUE(rep.ok) << w.name << ": " << rep.error;
-    EXPECT_TRUE(replayed) << w.name;
-    expectStatsEqual(rep.stats, exec.stats, w.name);
+    const std::optional<RunStats> rep = recordThenReplay(w, cfg);
+    ASSERT_TRUE(rep) << w.name << " diverged";
+    expectStatsEqual(*rep, exec.stats, w.name);
 }
 
 } // namespace
@@ -113,21 +143,15 @@ TEST(Replay, MemorySpinWaitFallsBackToExecute)
     // per-thread instruction streams depend on the interleaving:
     // the spin count recorded by the functional engine differs from
     // the core's. Verified replay must catch the first divergent
-    // spin branch and fall back; either way the stats match execute
-    // mode exactly.
+    // spin branch, so the caller falls back to execute mode.
     RecurrenceParams mp;
     mp.n = 24;
     mp.variant = RecurrenceVariant::DoacrossMemory;
     const Workload w = makeRecurrence(mp);
     CoreConfig cfg;
     cfg.num_slots = 4;
-    const Outcome exec = runCore(w, cfg);
-    ASSERT_TRUE(exec.ok) << exec.error;
-    bool replayed = true;
-    const Outcome rep = runCoreReplay(w, cfg, &replayed);
-    ASSERT_TRUE(rep.ok) << rep.error;
-    EXPECT_FALSE(replayed);
-    expectStatsEqual(rep.stats, exec.stats, w.name);
+    ASSERT_TRUE(runCore(w, cfg).ok);
+    EXPECT_FALSE(recordThenReplay(w, cfg));
 }
 
 TEST(Replay, NonDefaultGeometryMatchesExecute)
@@ -152,8 +176,8 @@ TEST(Replay, NonDefaultGeometryMatchesExecute)
 TEST(Replay, EagerListWalkFallsBackToExecute)
 {
     // KILLT's kill point depends on timing, so the eager list walk
-    // is declared non-replayable; runCoreReplay must detect the
-    // divergence and transparently re-run in execute mode.
+    // is declared non-replayable; verified replay must detect the
+    // divergence, so the caller re-runs in execute mode.
     ListWalkParams wp;
     wp.num_nodes = 12;
     wp.break_at = 7;
@@ -161,87 +185,8 @@ TEST(Replay, EagerListWalkFallsBackToExecute)
     const Workload w = makeListWalk(wp);
     CoreConfig cfg;
     cfg.num_slots = 4;
-
-    const Outcome exec = runCore(w, cfg);
-    ASSERT_TRUE(exec.ok) << exec.error;
-    bool replayed = true;
-    const Outcome rep = runCoreReplay(w, cfg, &replayed);
-    ASSERT_TRUE(rep.ok) << rep.error;
-    EXPECT_FALSE(replayed);
-    expectStatsEqual(rep.stats, exec.stats, w.name);
-}
-
-TEST(Replay, SweepExecutesOnceTimesSixteenBitIdentical)
-{
-    // The tentpole sweep property: a 16-cell grid over one
-    // workload runs the functional engine exactly once, times all
-    // 16 cells from that trace, and every cell's statistics are
-    // bit-identical to an execute-mode sweep of the same spec.
-    lab::ExperimentSpec spec;
-    spec.name = "replay-16";
-    spec.workloads = {lab::WorkloadSpec::matmul(5)};
-    spec.slots = {4};
-    spec.lsu = {1, 2};
-    spec.widths = {1, 2};
-    spec.standby = {true, false};
-    spec.rotation_intervals = {4, 8};
-
-    lab::LabOptions opts;
-    opts.num_threads = 2;
-
-    const lab::ResultSet exec = lab::runSweep(spec, opts);
-    ASSERT_EQ(exec.results.size(), 16u);
-    EXPECT_EQ(exec.functional_executions, 0u);
-    EXPECT_EQ(exec.replays, 0u);
-
-    spec.replay = true;
-    const lab::ResultSet rep = lab::runSweep(spec, opts);
-    ASSERT_EQ(rep.results.size(), 16u);
-    EXPECT_EQ(rep.functional_executions, 1u);
-    EXPECT_EQ(rep.replays, 16u);
-    EXPECT_EQ(rep.replay_fallbacks, 0u);
-
-    for (std::size_t i = 0; i < rep.results.size(); ++i) {
-        const lab::JobResult &a = rep.results[i];
-        const lab::JobResult &b = exec.results[i];
-        EXPECT_EQ(a.id, b.id);
-        EXPECT_TRUE(a.ok) << a.id << ": " << a.error;
-        EXPECT_TRUE(b.ok) << b.id << ": " << b.error;
-        expectStatsEqual(a.stats, b.stats, a.id);
-    }
-}
-
-TEST(Replay, SweepGroupsByWorkloadAndSlotCount)
-{
-    // Two slot counts need two traces (the recording engine's
-    // thread count is the slot count); everything else shares.
-    lab::ExperimentSpec spec;
-    spec.workloads = {lab::WorkloadSpec::matmul(4)};
-    spec.slots = {2, 4};
-    spec.standby = {true, false};
-    spec.replay = true;
-
-    const lab::ResultSet rs = lab::runSweep(spec, {});
-    ASSERT_EQ(rs.results.size(), 4u);
-    EXPECT_EQ(rs.functional_executions, 2u);
-    EXPECT_EQ(rs.replays, 4u);
-    for (const lab::JobResult &r : rs.results)
-        EXPECT_TRUE(r.ok) << r.id << ": " << r.error;
-}
-
-TEST(Replay, SpecJsonRoundTripsReplayFlag)
-{
-    lab::ExperimentSpec spec;
-    spec.workloads = {lab::WorkloadSpec::matmul(4)};
-    spec.replay = true;
-    const lab::ExperimentSpec back = lab::experimentSpecFromJson(
-        lab::experimentSpecToJson(spec));
-    EXPECT_TRUE(back.replay);
-    // Absent flag defaults to execute mode (older spec files).
-    const Json old = Json::parse(
-        R"({"workloads": [{"kind": "matmul", "params": {"n": 4}}],)"
-        R"( "name": "old"})");
-    EXPECT_FALSE(lab::experimentSpecFromJson(old).replay);
+    ASSERT_TRUE(runCore(w, cfg).ok);
+    EXPECT_FALSE(recordThenReplay(w, cfg));
 }
 
 TEST(Replay, DivergentTraceIsRejected)

@@ -12,7 +12,7 @@ TEST(RayTrace, CorrectOnInterpreter)
     p.width = 8;
     p.height = 8;
     const Workload w = makeRayTrace(p);
-    const Outcome o = runInterp(w, 1);
+    const Outcome o = runFunctional(w, 1);
     EXPECT_TRUE(o.ok) << o.error;
 }
 
@@ -53,7 +53,7 @@ TEST(RayTrace, SceneVariations)
         p.seed = seed;
         p.num_spheres = 3;
         const Workload w = makeRayTrace(p);
-        EXPECT_TRUE(runInterp(w, 1).ok) << "seed " << seed;
+        EXPECT_TRUE(runFunctional(w, 1).ok) << "seed " << seed;
     }
 }
 
@@ -112,7 +112,7 @@ TEST(Livermore, SequentialCorrectEverywhere)
     Lk1Params p;
     p.n = 64;
     const Workload w = makeLivermore1(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     CoreConfig cfg;
     cfg.num_slots = 1;
@@ -145,7 +145,7 @@ TEST(Livermore, ParallelMatchesInterpreter)
     p.n = 37;       // odd count exercises uneven splits
     p.parallel = true;
     const Workload w = makeLivermore1(p);
-    EXPECT_TRUE(runInterp(w, 4).ok);
+    EXPECT_TRUE(runFunctional(w, 4).ok);
 }
 
 TEST(Livermore, MoreSlotsThanIterations)
@@ -226,7 +226,7 @@ TEST(ListWalk, SequentialCorrectEverywhere)
     ListWalkParams p;
     p.num_nodes = 20;
     const Workload w = makeListWalk(p);
-    EXPECT_TRUE(runInterp(w, 1).ok);
+    EXPECT_TRUE(runFunctional(w, 1).ok);
     EXPECT_TRUE(runBaseline(w).ok);
     CoreConfig cfg;
     cfg.num_slots = 1;
@@ -250,7 +250,7 @@ TEST(TokenRing, CleanCorrectAtEverySlotCount)
     p.rounds = 12;
     const Workload w = makeTokenRing(p);
     for (int threads : {1, 2, 4, 8})
-        EXPECT_TRUE(runInterp(w, threads).ok)
+        EXPECT_TRUE(runFunctional(w, threads).ok)
             << "threads " << threads;
     CoreConfig cfg;
     cfg.num_slots = 4;

@@ -6,7 +6,9 @@
  *     smtsim-run [options] program.s
  *
  * Options:
- *     --engine core|baseline|interp|fast   (default core)
+ *     --engine core|baseline|interp|fast   (default core; interp
+ *                        is the functional engine's reference
+ *                        stepping, fast its chunk loop)
  *     --slots N          thread slots (core; default 4)
  *     --frames N         context frames (core; default = slots)
  *     --lsu N            load/store units (default 1)
@@ -20,7 +22,9 @@
  *     --dcache BYTES     finite data cache (direct-mapped)
  *     --icache BYTES     finite instruction cache
  *     --threads N        interp/fast logical processors
- *     --max-cycles N     simulation budget
+ *     --max-cycles N     simulation budget: cycles (core,
+ *                        baseline) or executed instructions
+ *                        (interp/fast; default 500000000)
  *     --cores N          many-core machine mode: N copies of the
  *                        configured core coupled through a banked
  *                        shared L2 (docs/MANYCORE.md; core engine)
@@ -78,7 +82,6 @@
 #include "fastpath/engine.hh"
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
-#include "interp/interpreter.hh"
 #include "machine/manycore.hh"
 #include "machine/manycore_json.hh"
 #include "machine/run_stats_json.hh"
@@ -220,7 +223,9 @@ main(int argc, char **argv)
     InterconnectConfig noc;
     unsigned long long quantum = 0;
     long long remote_data_latency = -1;
-    int threads = 4;
+    // --engine interp|fast: logical processors and step budget.
+    InterpConfig icfg;
+    icfg.num_threads = 4;
     bool want_detail = false;
     bool want_trace = false;
     bool want_json = false;
@@ -275,7 +280,7 @@ main(int argc, char **argv)
             engine = need_value(i);
         } else if (arg == "--slots") {
             cfg.num_slots = static_cast<int>(int_value(arg, i, 1));
-            threads = cfg.num_slots;
+            icfg.num_threads = cfg.num_slots;
         } else if (arg == "--frames") {
             cfg.num_frames = static_cast<int>(int_value(arg, i, 1));
         } else if (arg == "--lsu") {
@@ -301,7 +306,8 @@ main(int argc, char **argv)
             cfg.icache.size_bytes =
                 static_cast<Addr>(uint_value(arg, i));
         } else if (arg == "--threads") {
-            threads = static_cast<int>(int_value(arg, i, 1));
+            icfg.num_threads =
+                static_cast<int>(int_value(arg, i, 1));
         } else if (arg == "--cores") {
             cores = static_cast<int>(int_value(arg, i, 1));
         } else if (arg == "--host-threads") {
@@ -326,7 +332,7 @@ main(int argc, char **argv)
         } else if (arg == "--quantum") {
             quantum = uint_value(arg, i);
         } else if (arg == "--max-cycles") {
-            cfg.max_cycles = uint_value(arg, i);
+            cfg.max_cycles = icfg.max_steps = uint_value(arg, i);
         } else if (arg == "--dump-word") {
             dump_words.push_back(
                 static_cast<Addr>(uint_value(arg, i)));
@@ -425,7 +431,7 @@ main(int argc, char **argv)
             lopts.queue_depth = cfg.queue_reg_depth;
             lopts.slots = engine == "baseline" ? 1
                           : engine == "core"   ? cfg.num_slots
-                                               : threads;
+                                               : icfg.num_threads;
             const analysis::LintReport lr =
                 analysis::lint(prog, lopts);
             std::cerr << analysis::formatText(lr, path);
@@ -611,16 +617,9 @@ main(int argc, char **argv)
                 cpu.setEventSink(sink);
             report(cpu.run());
         } else if (engine == "interp" || engine == "fast") {
-            InterpConfig icfg;
-            icfg.num_threads = threads;
-            InterpResult r;
-            if (engine == "fast") {
-                fastpath::FastEngine fast(prog, mem, icfg);
-                r = fast.run();
-            } else {
-                Interpreter interp(prog, mem, icfg);
-                r = interp.run();
-            }
+            fastpath::FastEngine fast(prog, mem, icfg);
+            const InterpResult r =
+                engine == "fast" ? fast.run() : fast.runReference();
             if (want_json) {
                 RunStats s;
                 s.instructions = r.steps;

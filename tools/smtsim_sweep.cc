@@ -29,12 +29,6 @@
  *                        with shared-L2 remote-data coupling
  *     --max-cycles N     per-job cycle budget override
  *     --timeout SECONDS  per-job wall-clock budget
- *     --replay           functional-first execution: record each
- *                        workload's trace once with the fast
- *                        engine, verify outputs once, time every
- *                        core cell in verified replay mode.
- *                        Results are bit-identical to an
- *                        execute-mode sweep (docs/PERF.md)
  *
  * Execution:
  *     --jobs N           worker threads (default: host cores)
@@ -219,8 +213,6 @@ main(int argc, char **argv)
             if (!parseUint(need_value(i), &v) || v == 0)
                 die("--cache-max-mb needs a positive integer");
             opts.cache_max_bytes = v * 1024ull * 1024ull;
-        } else if (arg == "--replay") {
-            spec.replay = true;
         } else if (arg == "--no-cache") {
             opts.cache_dir.clear();
         } else if (arg == "--dry-run") {
@@ -295,7 +287,7 @@ main(int argc, char **argv)
             opts.progress = stderrProgress();
     }
 
-    const ResultSet rs = runJobs(jobs, opts, spec.replay);
+    const ResultSet rs = runJobs(jobs, opts);
 
     if (!json_path.empty())
         writeTextOutput(json_path, rs.toJson().dump(2) + "\n",
@@ -311,12 +303,5 @@ main(int argc, char **argv)
                  rs.results.size(),
                  rs.results.size() - rs.cacheHits(), rs.cacheHits(),
                  rs.failures(), rs.simSeconds());
-    if (spec.replay) {
-        std::fprintf(stderr,
-                     "replay: %zu functional pass(es), %zu cell(s) "
-                     "replayed, %zu fell back to execute\n",
-                     rs.functional_executions, rs.replays,
-                     rs.replay_fallbacks);
-    }
     return rs.failures() == 0 ? 0 : 1;
 }
