@@ -11,12 +11,13 @@
 # scripts/bench_common.sh) and checks the stamp with
 # scripts/check_bench_json.py.
 #
-# Also guards the parallel-host promise: on the 16-core machine the
-# 4-host-thread row must reach at least SMTSIM_BENCH_MC_EFF
-# parallel efficiency (t1 / (4 * t4), real time) over the
-# 1-host-thread row. The guard is skipped automatically when the
-# host has fewer than 4 CPUs — barrier hand-offs on an
-# oversubscribed host measure the scheduler, not the simulator.
+# Also guards the parallel-host promise (check_bench_json.py
+# --mc-eff): on the 16-core machine the 4-host-thread row must reach
+# at least SMTSIM_BENCH_MC_EFF parallel efficiency (t1 / (4 * t4),
+# real time) over the 1-host-thread row. The guard is skipped
+# automatically when the host has fewer than 4 CPUs — barrier
+# hand-offs on an oversubscribed host measure the scheduler, not the
+# simulator.
 #
 # Usage: scripts/bench_manycore.sh [build-dir] [out.json]
 #   SMTSIM_BENCH_MIN_TIME  benchmark_min_time seconds (default 0.5;
@@ -28,7 +29,6 @@ set -eu
 build=${1:-build}
 out=${2:-BENCH_manycore.json}
 min_time=${SMTSIM_BENCH_MIN_TIME:-0.5}
-eff=${SMTSIM_BENCH_MC_EFF:-0.3}
 
 if [ ! -x "$build/bench/bench_manycore" ]; then
     echo "bench_manycore not built in $build (cmake --build $build)" >&2
@@ -46,40 +46,7 @@ bench_require_release "$build" "many-core scaling" bench_manycore
 
 # The context we just asked for must actually be in the artifact, so
 # downstream consumers can trust any BENCH_manycore.json handed to
-# them.
-python3 "$(dirname "$0")/check_bench_json.py" "$out"
+# them; the checker also applies the parallel-efficiency floor.
+python3 "$(dirname "$0")/check_bench_json.py" --mc-eff "$out"
 
 echo "wrote $out" >&2
-
-if [ "$eff" = "skip" ]; then
-    echo "parallel-efficiency guard skipped" >&2
-    exit 0
-fi
-
-ncpu=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
-if [ "$ncpu" -lt 4 ]; then
-    echo "parallel-efficiency guard skipped: host has $ncpu CPU(s)," \
-         "need >= 4 to run 4 host threads in parallel" >&2
-    exit 0
-fi
-
-python3 - "$out" "$eff" <<'EOF'
-import json
-import sys
-
-out, need = sys.argv[1], float(sys.argv[2])
-rows = {b["name"]: b for b in json.load(open(out))["benchmarks"]}
-try:
-    t1 = rows["BM_ManyCore/16/1/real_time"]["real_time"]
-    t4 = rows["BM_ManyCore/16/4/real_time"]["real_time"]
-except KeyError as missing:
-    sys.exit(f"bench guard: row {missing} missing from {out}")
-eff = t1 / (4.0 * t4)
-print(f"16-core machine: 1 thread {t1:.1f} vs 4 threads {t4:.1f} "
-      f"({rows['BM_ManyCore/16/1/real_time']['time_unit']}) -> "
-      f"parallel efficiency {eff:.2f}", file=sys.stderr)
-if eff < need:
-    sys.exit(f"bench guard: 4-thread parallel efficiency {eff:.2f} "
-             f"is below the required {need:.2f} (quantum barrier or "
-             f"worker-pool overhead regressed)")
-EOF

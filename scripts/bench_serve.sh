@@ -24,22 +24,8 @@ if [ ! -x "$build/bench/bench_serve" ]; then
     exit 1
 fi
 
-# Refuse non-Release builds up front: the benchmark binary cannot
-# tell how the library it links was compiled, so read the build
-# type straight out of the CMake cache.
-if [ ! -f "$build/CMakeCache.txt" ]; then
-    echo "bench guard: $build/CMakeCache.txt not found (not a CMake build dir?)" >&2
-    exit 1
-fi
-build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$build/CMakeCache.txt")
-if [ "$build_type" != "Release" ]; then
-    echo "bench guard: $build is a '${build_type:-<unset>}' build;" \
-         "service latency numbers are only meaningful from a" \
-         "Release build:" >&2
-    echo "    cmake -B build-release -DCMAKE_BUILD_TYPE=Release &&" \
-         "cmake --build build-release --target bench_serve" >&2
-    exit 1
-fi
+. "$(dirname "$0")/bench_common.sh"
+bench_require_release "$build" "service latency" bench_serve
 
 # Dozens of client sockets plus worker pipes; the default soft
 # limit of 1024 is tight on some CI hosts.

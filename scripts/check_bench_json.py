@@ -2,7 +2,7 @@
 """Check google-benchmark JSON files: build stamp and perf guards.
 
     python3 scripts/check_bench_json.py [--fast-floor] [--trace-guard]
-                                        FILE...
+                                        [--mc-eff] FILE...
 
 Exits 1 with a "bench guard:" message unless every FILE parses with
 no repeated key in any object, and its context carries the stamp the
@@ -13,8 +13,8 @@ library rather than of smtsim, so the stamp uses keys that cannot
 collide with it: a parser keeping the last of two equal keys would
 let either value win.
 
-Guards (bench/bench_simspeed.cc rows, each ratio taken within one
-file, so they hold on any host):
+Guards (bench/bench_simspeed.cc and bench/bench_manycore.cc rows,
+each ratio taken within one file, so they hold on any host):
 
   --fast-floor   the functional engine's chunk loop (BM_Fastpath)
                  reaches at least SMTSIM_BENCH_FAST_X (default 3)
@@ -24,8 +24,16 @@ file, so they hold on any host):
                  (BM_CoreTraceOff) costs at most SMTSIM_BENCH_TRACE_PCT
                  (default 2) percent more CPU time than BM_Core/4.
                  Uses the _median rows of a repeated run when present.
+  --mc-eff       the 16-core machine on 4 host threads
+                 (BM_ManyCore/16/4/real_time) reaches at least
+                 SMTSIM_BENCH_MC_EFF (default 0.3) parallel efficiency,
+                 t1 / (4 * t4) in real time, over 1 host thread
+                 (BM_ManyCore/16/1/real_time). Skipped when the stamp
+                 records fewer than 4 CPUs: barrier hand-offs on an
+                 oversubscribed host measure the scheduler, not the
+                 simulator.
 
-Setting either variable to "skip" turns its guard off.
+Setting any of these variables to "skip" turns its guard off.
 """
 
 import json
@@ -104,6 +112,31 @@ def trace_guard(path, doc):
     return None
 
 
+def mc_eff(path, doc):
+    need = limit("SMTSIM_BENCH_MC_EFF", "0.3")
+    if need is None:
+        print("parallel-efficiency guard skipped", file=sys.stderr)
+        return None
+    ncpu = doc["context"]["smtsim_nproc"]
+    if not ncpu.isdigit() or int(ncpu) < 4:
+        print("parallel-efficiency guard skipped: host had %s CPU(s), "
+              "need >= 4 to run 4 host threads in parallel" % ncpu,
+              file=sys.stderr)
+        return None
+    one, four = rows(doc, "BM_ManyCore/16/1/real_time",
+                     "BM_ManyCore/16/4/real_time")
+    t1, t4 = one["real_time"], four["real_time"]
+    eff = t1 / (4.0 * t4)
+    print("16-core machine: 1 thread %.1f vs 4 threads %.1f (%s) -> "
+          "parallel efficiency %.2f" % (t1, t4, one["time_unit"], eff),
+          file=sys.stderr)
+    if eff < need:
+        return "%s: 4-thread parallel efficiency %.2f is below the " \
+               "required %.2f (quantum barrier or worker-pool overhead " \
+               "regressed)" % (path, eff, need)
+    return None
+
+
 def check(path, guards):
     try:
         with open(path) as f:
@@ -118,12 +151,13 @@ def check(path, guards):
 
 
 def main():
-    flags = {"--fast-floor": fast_floor, "--trace-guard": trace_guard}
+    flags = {"--fast-floor": fast_floor, "--trace-guard": trace_guard,
+             "--mc-eff": mc_eff}
     guards = [flags[a] for a in sys.argv[1:] if a in flags]
     paths = [a for a in sys.argv[1:] if a not in flags]
     if not paths or any(p.startswith("--") for p in paths):
         sys.exit("usage: check_bench_json.py [--fast-floor] "
-                 "[--trace-guard] FILE...")
+                 "[--trace-guard] [--mc-eff] FILE...")
     for path in paths:
         err = check(path, guards)
         if err:

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "base/logging.hh"
+#include "base/serial.hh"
 #include "mem/memory.hh"
 
 namespace smtsim
@@ -87,22 +88,20 @@ namespace
 constexpr std::uint32_t kMagic = 0x504d5453;    // "STMP" LE
 constexpr std::uint32_t kVersion = 1;
 
-template <typename T>
+/** The image's one transfer (base/serial.hh): the byte layout is
+ *  this field order. Source positions are not stored. */
+template <class Ar, class Prog>
 void
-put(std::ostream &os, const T &v)
+transfer(Ar &ar, Prog &p)
 {
-    os.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-template <typename T>
-T
-get(std::istream &is)
-{
-    T v{};
-    is.read(reinterpret_cast<char *>(&v), sizeof(v));
-    if (!is)
-        fatal("program load: truncated input");
-    return v;
+    ar.expect(kMagic, "magic");
+    ar.expect(kVersion, "version");
+    ar("text_base", p.text_base);
+    ar("text", p.text);
+    ar("data_base", p.data_base);
+    ar("data", p.data);
+    ar("entry", p.entry);
+    ar("symbols", p.symbols);
 }
 
 } // namespace
@@ -110,64 +109,19 @@ get(std::istream &is)
 void
 Program::save(std::ostream &os) const
 {
-    put(os, kMagic);
-    put(os, kVersion);
-    put(os, text_base);
-    put(os, static_cast<std::uint32_t>(text.size()));
-    for (std::uint32_t word : text)
-        put(os, word);
-    put(os, data_base);
-    put(os, static_cast<std::uint32_t>(data.size()));
-    if (!data.empty()) {
-        os.write(reinterpret_cast<const char *>(data.data()),
-                 static_cast<std::streamsize>(data.size()));
-    }
-    put(os, entry);
-    put(os, static_cast<std::uint32_t>(symbols.size()));
-    for (const auto &[name, value] : symbols) {
-        put(os, static_cast<std::uint32_t>(name.size()));
-        os.write(name.data(),
-                 static_cast<std::streamsize>(name.size()));
-        put(os, value);
-    }
+    SaveArchive ar(os);
+    transfer(ar, *this);
 }
 
 Program
 Program::load(std::istream &is)
 {
-    if (get<std::uint32_t>(is) != kMagic)
-        fatal("program load: bad magic");
-    if (get<std::uint32_t>(is) != kVersion)
-        fatal("program load: unsupported version");
-
     Program prog;
-    prog.text_base = get<Addr>(is);
-    const std::uint32_t nwords = get<std::uint32_t>(is);
-    prog.text.reserve(nwords);
-    for (std::uint32_t i = 0; i < nwords; ++i)
-        prog.text.push_back(get<std::uint32_t>(is));
-
-    prog.data_base = get<Addr>(is);
-    const std::uint32_t nbytes = get<std::uint32_t>(is);
-    prog.data.resize(nbytes);
-    if (nbytes > 0) {
-        is.read(reinterpret_cast<char *>(prog.data.data()),
-                nbytes);
-        if (!is)
-            fatal("program load: truncated data segment");
-    }
-
-    prog.entry = get<Addr>(is);
-    const std::uint32_t nsyms = get<std::uint32_t>(is);
-    for (std::uint32_t i = 0; i < nsyms; ++i) {
-        const std::uint32_t len = get<std::uint32_t>(is);
-        if (len > 4096)
-            fatal("program load: unreasonable symbol length");
-        std::string name(len, '\0');
-        is.read(name.data(), len);
-        if (!is)
-            fatal("program load: truncated symbol table");
-        prog.symbols[name] = get<Addr>(is);
+    try {
+        LoadArchive ar(is, "program load");
+        transfer(ar, prog);
+    } catch (const std::runtime_error &e) {
+        fatal(e.what());
     }
     return prog;
 }

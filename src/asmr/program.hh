@@ -95,7 +95,7 @@ struct Program
 
     /**
      * Serialize to / deserialize from a simple binary object
-     * format (magic "SMTP"), preserving segments, the entry point
+     * format (magic "STMP"), preserving segments, the entry point
      * and the symbol table. load() throws FatalError on corrupt
      * input.
      */

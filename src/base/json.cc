@@ -13,7 +13,7 @@ namespace smtsim
 // ----------------------------------------------------------------
 
 void
-Json::set(const std::string &key, Json value)
+Json::set(std::string_view key, Json value)
 {
     if (type_ != Type::Object)
         throw JsonParseError("set() on non-object");
@@ -23,11 +23,11 @@ Json::set(const std::string &key, Json value)
             return;
         }
     }
-    obj_.emplace_back(key, std::move(value));
+    obj_.emplace_back(std::string(key), std::move(value));
 }
 
 const Json *
-Json::find(const std::string &key) const
+Json::find(std::string_view key) const
 {
     if (type_ != Type::Object)
         return nullptr;
@@ -88,20 +88,55 @@ Json::asBool() const
     return bool_;
 }
 
+bool
+Json::getInt(std::int64_t &out) const
+{
+    if (type_ == Type::Int && !uint_) {
+        out = int_;
+        return true;
+    }
+    // Both bounds are exact doubles; NaN fails the range test.
+    if (type_ == Type::Double && dbl_ >= -0x1p63 && dbl_ < 0x1p63 &&
+        std::trunc(dbl_) == dbl_) {
+        out = static_cast<std::int64_t>(dbl_);
+        return true;
+    }
+    return false;
+}
+
+bool
+Json::getU64(std::uint64_t &out) const
+{
+    if (type_ == Type::Int && (uint_ || int_ >= 0)) {
+        out = static_cast<std::uint64_t>(int_);
+        return true;
+    }
+    if (type_ == Type::Double && dbl_ >= 0.0 && dbl_ < 0x1p64 &&
+        std::trunc(dbl_) == dbl_) {
+        out = static_cast<std::uint64_t>(dbl_);
+        return true;
+    }
+    return false;
+}
+
 std::int64_t
 Json::asInt() const
 {
-    if (type_ == Type::Int)
-        return int_;
-    if (type_ == Type::Double)
-        return static_cast<std::int64_t>(dbl_);
-    throw JsonParseError("not a number");
+    std::int64_t v = 0;
+    if (!getInt(v))
+        throw JsonParseError(isNumber() ? "not an int64 integer"
+                                        : "not a number");
+    return v;
 }
 
 std::uint64_t
 Json::asU64() const
 {
-    return static_cast<std::uint64_t>(asInt());
+    std::uint64_t v = 0;
+    if (!getU64(v))
+        throw JsonParseError(isNumber() ? "not a uint64 integer"
+                                        : "not a number");
+    return v;
 }
 
 double
@@ -179,7 +214,10 @@ Json::writeImpl(std::ostream &os, int indent, int depth) const
         os << (bool_ ? "true" : "false");
         break;
       case Type::Int:
-        os << int_;
+        if (uint_)
+            os << static_cast<std::uint64_t>(int_);
+        else
+            os << int_;
         break;
       case Type::Double: {
         if (!std::isfinite(dbl_)) {
@@ -500,12 +538,18 @@ class Parser
                 return Json(std::stod(tok));
             return Json(static_cast<long long>(std::stoll(tok)));
         } catch (const std::exception &) {
-            // Integer overflow (e.g. > 2^63): keep it as a double.
-            try {
-                return Json(std::stod(tok));
-            } catch (const std::exception &) {
-                fail("bad number \"" + tok + "\"");
-            }
+        }
+        // Past the int64 range: an unsigned 64-bit integer if it
+        // fits, else a double.
+        try {
+            if (!is_double && tok[0] != '-')
+                return Json(std::stoull(tok));
+        } catch (const std::exception &) {
+        }
+        try {
+            return Json(std::stod(tok));
+        } catch (const std::exception &) {
+            fail("bad number \"" + tok + "\"");
         }
     }
 

@@ -55,9 +55,11 @@ class Json
     Json(long long v) : type_(Type::Int), int_(v) {}
     Json(unsigned v) : type_(Type::Int), int_(v) {}
     Json(unsigned long v)
-        : type_(Type::Int), int_(static_cast<std::int64_t>(v)) {}
+        : type_(Type::Int), uint_(v > kInt64Max),
+          int_(static_cast<std::int64_t>(v)) {}
     Json(unsigned long long v)
-        : type_(Type::Int), int_(static_cast<std::int64_t>(v)) {}
+        : type_(Type::Int), uint_(v > kInt64Max),
+          int_(static_cast<std::int64_t>(v)) {}
     Json(double v) : type_(Type::Double), dbl_(v) {}
     Json(const char *s) : type_(Type::String), str_(s) {}
     Json(std::string s) : type_(Type::String), str_(std::move(s)) {}
@@ -74,9 +76,9 @@ class Json
 
     // -- object ---------------------------------------------------
     /** Insert or overwrite a member (value must be an Object). */
-    void set(const std::string &key, Json value);
+    void set(std::string_view key, Json value);
     /** Member lookup; nullptr when absent (or not an Object). */
-    const Json *find(const std::string &key) const;
+    const Json *find(std::string_view key) const;
     /** Member lookup that throws JsonParseError when absent. */
     const Json &at(const std::string &key) const;
 
@@ -90,8 +92,13 @@ class Json
 
     // -- scalars --------------------------------------------------
     bool asBool() const;
+    /** Exact integer value; throws unless this is a number with no
+     *  fractional part inside the result type's range. */
     std::int64_t asInt() const;
     std::uint64_t asU64() const;
+    /** Non-throwing asInt()/asU64(): false where they would throw. */
+    bool getInt(std::int64_t &out) const;
+    bool getU64(std::uint64_t &out) const;
     double asDouble() const;
     const std::string &asString() const;
 
@@ -111,10 +118,14 @@ class Json
     static constexpr int kMaxParseDepth = 192;
 
   private:
+    static constexpr unsigned long long kInt64Max = 0x7fffffffffffffffull;
+
     void writeImpl(std::ostream &os, int indent, int depth) const;
 
     Type type_;
     bool bool_ = false;
+    /** int_ holds the bits of an unsigned value above INT64_MAX. */
+    bool uint_ = false;
     std::int64_t int_ = 0;
     double dbl_ = 0.0;
     std::string str_;

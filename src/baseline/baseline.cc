@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "isa/dataop.hh"
 #include "isa/semantics.hh"
-#include "obs/sinks.hh"
 
 namespace smtsim
 {
@@ -31,18 +30,6 @@ void
 BaselineProcessor::setEventSink(obs::EventSink *sink)
 {
     sink_ = sink;
-    owned_sink_.reset();
-}
-
-void
-BaselineProcessor::setPipeTrace(std::ostream *os)
-{
-    if (os == nullptr) {
-        setEventSink(nullptr);
-        return;
-    }
-    owned_sink_ = std::make_unique<obs::TextSink>(*os);
-    sink_ = owned_sink_.get();
 }
 
 void

@@ -21,8 +21,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <ostream>
 #include <vector>
 
 #include "asmr/program.hh"
@@ -54,6 +52,18 @@ struct BaselineConfig
     bool fast_forward = true;
     /** Simulation budget. */
     std::uint64_t max_cycles = 2'000'000'000ull;
+
+    /** Field list (base/fields.hh) of the lab's config JSON. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("width", s.width);
+        ar("fus", s.fus);
+        ar("branch_gap", s.branch_gap);
+        ar("fast_forward", s.fast_forward);
+        ar("max_cycles", s.max_cycles);
+    }
 };
 
 /**
@@ -84,9 +94,6 @@ class BaselineProcessor
      * is not owned.
      */
     void setEventSink(obs::EventSink *sink);
-
-    /** Owned-TextSink shim mirroring the core's setPipeTrace(). */
-    void setPipeTrace(std::ostream *os);
 
   private:
     struct WindowEntry
@@ -144,8 +151,6 @@ class BaselineProcessor
     RunStats stats_;
 
     obs::EventSink *sink_ = nullptr;
-    /** Backing storage for the setPipeTrace() TextSink shim. */
-    std::unique_ptr<obs::EventSink> owned_sink_;
 
     /** Emit the synthetic stream prologue (snapshot, ring, bind). */
     void emitStreamPrologue();

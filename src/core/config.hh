@@ -7,8 +7,10 @@
 #ifndef SMTSIM_CORE_CONFIG_HH
 #define SMTSIM_CORE_CONFIG_HH
 
+#include <array>
 #include <cstdint>
 
+#include "base/fields.hh"
 #include "base/types.hh"
 #include "machine/fu_pool.hh"
 #include "mem/cache.hh"
@@ -23,6 +25,10 @@ enum class RotationMode
     Implicit,   ///< rotate every rotation_interval cycles
     Explicit    ///< rotate on change-priority instructions only
 };
+
+/** RotationMode's JSON spellings, in enumerator order. */
+inline constexpr std::array<const char *, 2> kRotationModeNames{
+    "implicit", "explicit"};
 
 /** Multithreaded-core configuration. */
 struct CoreConfig
@@ -116,6 +122,31 @@ struct CoreConfig
         return iqueue_words < 0
                    ? fetchBlockWords() + icache_cycles * width
                    : iqueue_words;
+    }
+
+    /** Field list (base/fields.hh) of the lab's config JSON. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("num_slots", s.num_slots);
+        ar("num_frames", s.num_frames);
+        ar("width", s.width);
+        ar("fus", s.fus);
+        ar("standby_enabled", s.standby_enabled);
+        ar("rotation_mode", Named{s.rotation_mode, kRotationModeNames});
+        ar("rotation_interval", s.rotation_interval);
+        ar("private_icache", s.private_icache);
+        ar("icache_cycles", s.icache_cycles);
+        ar("iqueue_words", s.iqueue_words);
+        ar("queue_reg_depth", s.queue_reg_depth);
+        ar("branch_gap", s.branch_gap);
+        ar("context_switch_cycles", s.context_switch_cycles);
+        ar("remote", s.remote);
+        ar("dcache", s.dcache);
+        ar("icache", s.icache);
+        ar("fast_forward", s.fast_forward);
+        ar("max_cycles", s.max_cycles);
     }
 };
 

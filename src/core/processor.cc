@@ -5,7 +5,6 @@
 
 #include "base/logging.hh"
 #include "isa/semantics.hh"
-#include "obs/sinks.hh"
 
 namespace smtsim
 {
@@ -1742,25 +1741,9 @@ void
 MultithreadedProcessor::setEventSink(obs::EventSink *sink)
 {
     sink_ = sink;
-    owned_sink_.reset();
     for (ScheduleUnit &su : sched_units_)
         su.setSink(sink_);
     snapshot_pending_ = sink_ != nullptr;
-}
-
-void
-MultithreadedProcessor::setPipeTrace(std::ostream *os)
-{
-    if (!os) {
-        setEventSink(nullptr);
-        return;
-    }
-    setEventSink(nullptr);
-    owned_sink_ = std::make_unique<obs::TextSink>(*os);
-    sink_ = owned_sink_.get();
-    for (ScheduleUnit &su : sched_units_)
-        su.setSink(sink_);
-    snapshot_pending_ = true;
 }
 
 void

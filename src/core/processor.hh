@@ -27,7 +27,6 @@
 #include <array>
 #include <cstdint>
 #include <istream>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <vector>
@@ -114,13 +113,6 @@ class MultithreadedProcessor
     void setEventSink(obs::EventSink *sink);
 
     /**
-     * Convenience shim for the classic pipe trace: attaches an
-     * owned TextSink writing one human-readable line per event to
-     * @p os (nullptr detaches).
-     */
-    void setPipeTrace(std::ostream *os);
-
-    /**
      * Serialize the complete machine state — contexts, thread
      * slots, fetch ports, schedule units + standby stations, queue
      * ring, caches, statistics and the backing memory — so a later
@@ -133,8 +125,11 @@ class MultithreadedProcessor
      * Restore state saved by saveCheckpoint() into this processor,
      * which must have been constructed with the same program and
      * configuration (validated via a fingerprint; throws
-     * std::runtime_error on mismatch or corruption). The backing
-     * memory is replaced by the checkpointed image.
+     * std::runtime_error on mismatch or corruption, including any
+     * slot, frame or in-flight instruction the program and
+     * configuration could not have produced). The backing memory is
+     * replaced by the checkpointed image. After a throw the
+     * processor is half restored and must not be run.
      */
     void restoreCheckpoint(std::istream &is);
 
@@ -313,6 +308,27 @@ class MultithreadedProcessor
             --count_;
         }
 
+        /** Checkpoint field list: the count, then the addresses,
+         *  oldest first; a reader rejects more than fit. */
+        template <class Ar, class Self>
+        static void
+        fields(Ar &ar, Self &q)
+        {
+            auto n = static_cast<std::uint32_t>(q.count_);
+            ar("count", n);
+            if constexpr (Ar::kLoading) {
+                ar.check(n <= static_cast<std::uint32_t>(q.capacity_),
+                         "instruction queue overflow");
+                q.clear();
+            }
+            for (std::uint32_t i = 0; i < n; ++i) {
+                Addr a = Ar::kLoading ? 0 : q.at(static_cast<int>(i));
+                ar("addr", a);
+                if constexpr (Ar::kLoading)
+                    q.push(a);
+            }
+        }
+
       private:
         int
         wrap(int i) const
@@ -377,6 +393,14 @@ class MultithreadedProcessor
         {
             Cycle at = 0;
             int count = 0;
+
+            template <class Ar, class Self>
+            static void
+            fields(Ar &ar, Self &b)
+            {
+                ar("at", b.at);
+                ar("count", b.count);
+            }
         };
 
         /**
@@ -544,8 +568,6 @@ class MultithreadedProcessor
     RemoteTimingModel *remote_model_ = nullptr;
 
     obs::EventSink *sink_ = nullptr;
-    /** Backing storage for the setPipeTrace() TextSink shim. */
-    std::unique_ptr<obs::EventSink> owned_sink_;
     /** Emit a state snapshot at the next run()/runUntil() entry. */
     bool snapshot_pending_ = false;
 
@@ -565,6 +587,12 @@ class MultithreadedProcessor
     void emitStateSnapshot();
     /** Emit the current priority-ring order at cycle @p c. */
     void emitRing(Cycle c);
+
+    /** The one checkpoint transfer (core/checkpoint.cc): writes
+     *  SMTCKPT1 with Self = const MultithreadedProcessor, restores
+     *  it with Self = MultithreadedProcessor. */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &cpu);
 };
 
 } // namespace smtsim

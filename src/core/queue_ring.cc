@@ -1,6 +1,7 @@
 #include "queue_ring.hh"
 
 #include "base/logging.hh"
+#include "base/serial.hh"
 
 namespace smtsim
 {
@@ -87,31 +88,22 @@ QueueRing::clear()
     }
 }
 
+template <class Ar, class Self>
 void
-QueueRing::serialize(obs::ByteWriter &w) const
+QueueRing::transfer(Ar &ar, Self &ring)
 {
-    w.u32(static_cast<std::uint32_t>(links_.size()));
-    for (const Link &link : links_) {
-        w.u32(static_cast<std::uint32_t>(link.fifo.size()));
-        for (std::uint64_t v : link.fifo)
-            w.u64(v);
-        w.i32(link.reserved);
-    }
+    ar.shape("queue link", ring.links_, [&](auto &link) {
+        ar("fifo", link.fifo);
+        ar("reserved", link.reserved);
+        ar.check(link.reserved >= 0 &&
+                     link.fifo.size() + static_cast<std::size_t>(
+                                            link.reserved) <=
+                         static_cast<std::size_t>(ring.depth_),
+                 "queue link over its depth");
+    });
 }
 
-void
-QueueRing::deserialize(obs::ByteReader &r)
-{
-    const std::uint32_t n = r.u32();
-    SMTSIM_ASSERT(n == links_.size(),
-                  "checkpoint queue-ring shape mismatch");
-    for (Link &link : links_) {
-        link.fifo.clear();
-        const std::uint32_t m = r.u32();
-        for (std::uint32_t i = 0; i < m; ++i)
-            link.fifo.push_back(r.u64());
-        link.reserved = r.i32();
-    }
-}
+template void QueueRing::transfer(SaveArchive &, const QueueRing &);
+template void QueueRing::transfer(LoadArchive &, QueueRing &);
 
 } // namespace smtsim

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "obs/serial.hh"
 
 namespace smtsim
 {
@@ -62,9 +61,11 @@ class QueueRing
         return static_cast<int>(links_[link].fifo.size());
     }
 
-    /** Checkpoint support (docs/OBSERVABILITY.md). */
-    void serialize(obs::ByteWriter &w) const;
-    void deserialize(obs::ByteReader &r);
+    /** Checkpoint transfer (base/serial.hh), either direction. A
+     *  reader rejects a link count that differs from this ring's
+     *  and a link holding more than its depth. */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &ring);
 
   private:
     struct Link

@@ -1,9 +1,10 @@
 #include "schedule.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
+#include "asmr/program.hh"
 #include "base/logging.hh"
+#include "base/serial.hh"
 
 namespace smtsim
 {
@@ -134,97 +135,59 @@ ScheduleUnit::snapshotTo(obs::EventSink &sink, Cycle c) const
     }
 }
 
-namespace
-{
-
+template <class Ar, class Self>
 void
-writeIssuedOp(obs::ByteWriter &w, const IssuedOp &op)
+ScheduleUnit::transfer(Ar &ar, Self &su, const PredecodedText &text)
 {
-    // Insn fields are written directly (not via encode()) so the
-    // checkpoint never depends on an encode/decode round trip.
-    w.u16(static_cast<std::uint16_t>(op.insn.op));
-    w.u8(op.insn.rd);
-    w.u8(op.insn.rs);
-    w.u8(op.insn.rt);
-    w.i32(op.insn.imm);
-    w.u32(op.pc);
-    w.i32(op.slot);
-    w.u32(op.ops.rs_i);
-    w.u32(op.ops.rt_i);
-    w.f64(op.ops.rs_f);
-    w.f64(op.ops.rt_f);
-    w.u64(op.arrive);
-    w.b(op.queue_write);
-}
-
-IssuedOp
-readIssuedOp(obs::ByteReader &r)
-{
-    IssuedOp op;
-    const std::uint16_t opcode = r.u16();
-    if (opcode >= kNumOps)
-        throw std::runtime_error("checkpoint: bad issued opcode");
-    op.insn.op = static_cast<Op>(opcode);
-    op.insn.rd = r.u8();
-    op.insn.rs = r.u8();
-    op.insn.rt = r.u8();
-    op.insn.imm = r.i32();
-    op.dst = op.insn.dst();
-    op.pc = r.u32();
-    op.slot = r.i32();
-    op.ops.rs_i = r.u32();
-    op.ops.rt_i = r.u32();
-    op.ops.rs_f = r.f64();
-    op.ops.rt_f = r.f64();
-    op.arrive = r.u64();
-    op.queue_write = r.b();
-    return op;
-}
-
-} // namespace
-
-void
-ScheduleUnit::serialize(obs::ByteWriter &w) const
-{
-    w.u32(static_cast<std::uint32_t>(units_.size()));
-    for (Cycle u : units_)
-        w.u64(u);
-    w.u32(static_cast<std::uint32_t>(standby_.size()));
-    for (const auto &station : standby_) {
-        w.b(station.has_value());
-        if (station.has_value())
-            writeIssuedOp(w, *station);
-    }
-    w.u32(static_cast<std::uint32_t>(incoming_.size()));
-    for (const IssuedOp &op : incoming_)
-        writeIssuedOp(w, op);
-}
-
-void
-ScheduleUnit::deserialize(obs::ByteReader &r)
-{
-    const std::uint32_t nu = r.u32();
-    SMTSIM_ASSERT(nu == units_.size(),
-                  "checkpoint schedule-unit shape mismatch");
-    for (Cycle &u : units_)
-        u = r.u64();
-    const std::uint32_t ns = r.u32();
-    SMTSIM_ASSERT(ns == standby_.size(),
-                  "checkpoint standby shape mismatch");
-    standby_occupied_ = 0;
-    for (auto &station : standby_) {
-        station.reset();
-        if (r.b()) {
-            station = readIssuedOp(r);
-            ++standby_occupied_;
+    const int nslots = static_cast<int>(su.standby_.size());
+    // Slots holding an op, to reject a second op bound for one
+    // station.
+    std::vector<bool> busy(su.standby_.size());
+    auto issued = [&](auto &op) {
+        ar("op", op);
+        if constexpr (Ar::kLoading) {
+            const CoreOp *c = text.find(op.pc);
+            ar.check(c != nullptr && c->insn == op.insn,
+                     "issued op does not match the program text");
+            ar.check(op.slot >= 0 && op.slot < nslots &&
+                         !busy[op.slot],
+                     "issued op in a bad or busy slot");
+            busy[op.slot] = true;
+            op.dst = c->dst;
         }
+    };
+
+    ar.shape("schedule-unit unit", su.units_,
+             [&](auto &free_at) { ar("free_at", free_at); });
+    int station = 0;
+    ar.shape("standby station", su.standby_, [&](auto &op) {
+        bool occupied = op.has_value();
+        ar("occupied", occupied);
+        if constexpr (Ar::kLoading) {
+            op.reset();
+            if (occupied)
+                op.emplace();
+        }
+        if (occupied) {
+            issued(*op);
+            ar.check(op->slot == station,
+                     "standby op in another slot's station");
+        }
+        ++station;
+    });
+    ar.list("incoming op", su.incoming_, issued);
+    if constexpr (Ar::kLoading) {
+        su.standby_occupied_ = static_cast<int>(
+            std::count_if(su.standby_.begin(), su.standby_.end(),
+                          [](const auto &op) { return op.has_value(); }));
+        su.updateNextEvent();
     }
-    incoming_.clear();
-    const std::uint32_t ni = r.u32();
-    for (std::uint32_t i = 0; i < ni; ++i)
-        incoming_.push_back(readIssuedOp(r));
-    updateNextEvent();
 }
+
+template void ScheduleUnit::transfer(SaveArchive &, const ScheduleUnit &,
+                                     const PredecodedText &);
+template void ScheduleUnit::transfer(LoadArchive &, ScheduleUnit &,
+                                     const PredecodedText &);
 
 void
 ScheduleUnit::flushSlot(int slot)

@@ -22,10 +22,11 @@
 #include "isa/dataop.hh"
 #include "isa/insn.hh"
 #include "obs/event.hh"
-#include "obs/serial.hh"
 
 namespace smtsim
 {
+
+class PredecodedText;
 
 /** An instruction in flight between decode (D2) and execution. */
 struct IssuedOp
@@ -42,6 +43,23 @@ struct IssuedOp
     Cycle arrive = 0;
     /** Destination is a queue-register mapping (push, not write). */
     bool queue_write = false;
+
+    /** Checkpoint field list (base/serial.hh); dst is re-derived
+     *  from the instruction on restore. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &op)
+    {
+        ar("insn", op.insn);
+        ar("pc", op.pc);
+        ar("slot", op.slot);
+        ar("rs_i", op.ops.rs_i);
+        ar("rt_i", op.ops.rt_i);
+        ar("rs_f", op.ops.rs_f);
+        ar("rt_f", op.ops.rt_f);
+        ar("arrive", op.arrive);
+        ar("queue_write", op.queue_write);
+    }
 };
 
 /** One granted instruction with its assigned functional unit. */
@@ -99,9 +117,15 @@ class ScheduleUnit
      *  of the processor's state snapshot at trace start. */
     void snapshotTo(obs::EventSink &sink, Cycle c) const;
 
-    /** Checkpoint support (docs/OBSERVABILITY.md). */
-    void serialize(obs::ByteWriter &w) const;
-    void deserialize(obs::ByteReader &r);
+    /**
+     * Checkpoint transfer (base/serial.hh, docs/OBSERVABILITY.md),
+     * either direction. A reader rejects a unit or station count
+     * that differs from this unit's, an op outside its slot's
+     * station or the slot range, two ops bound for one station, and
+     * an op whose instruction is not @p text's at its pc.
+     */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &su, const PredecodedText &text);
 
   private:
     FuClass cls_;

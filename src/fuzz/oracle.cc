@@ -3,13 +3,12 @@
 #include <cstring>
 #include <sstream>
 
+#include "base/json_fields.hh"
 #include "base/logging.hh"
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
 #include "fastpath/engine.hh"
 #include "machine/manycore.hh"
-#include "machine/manycore_json.hh"
-#include "machine/run_stats_json.hh"
 #include "mem/memory.hh"
 
 namespace smtsim::fuzz
@@ -236,10 +235,10 @@ diffStates(const EngineState &ref, const EngineState &got,
         }
     }
     if (ref.timing && got.timing) {
-        if (!statsEqual(*ref.timing, *got.timing)) {
+        if (*ref.timing != *got.timing) {
             return "timing mismatch: ref " +
-                   statsToJson(*ref.timing).dump() + " vs " +
-                   statsToJson(*got.timing).dump();
+                   toJson(*ref.timing).dump() + " vs " +
+                   toJson(*got.timing).dump();
         }
         if (ref.detail != got.detail) {
             os << "timing mismatch: detail counters";
@@ -418,13 +417,11 @@ checkReplayTiming(const Program &prog, const GenFeatures &features,
             // mode, so there is nothing to compare.
             return std::nullopt;
         }
-        const std::string ja = statsToJson(a).dump();
-        const std::string jb = statsToJson(b).dump();
-        if (ja != jb) {
-            return Divergence{
-                cell, cell,
-                "replay timing mismatch: execute " + ja +
-                    " vs replay " + jb};
+        if (a != b) {
+            return Divergence{cell, cell,
+                              "replay timing mismatch: execute " +
+                                  toJson(a).dump() + " vs replay " +
+                                  toJson(b).dump()};
         }
     } catch (const FatalError &) {
         // Trapping programs are covered by the architectural grid;
@@ -488,12 +485,12 @@ checkManyCoreDeterminism(const Program &prog,
         std::vector<EngineState> ca, cb;
         capture(0, &sa, &ca);   // sequential reference schedule
         capture(2, &sb, &cb);   // one host thread per core
-        if (!machineStatsEqual(sa, sb)) {
+        if (sa != sb) {
             return Divergence{
                 cell, cell,
                 "manycore schedule divergence: sequential " +
-                    machineStatsToJson(sa).dump() + " vs threaded " +
-                    machineStatsToJson(sb).dump()};
+                    toJson(sa).dump() + " vs threaded " +
+                    toJson(sb).dump()};
         }
         for (std::size_t c = 0; c < ca.size(); ++c) {
             const std::string diff = diffStates(ca[c], cb[c], false);

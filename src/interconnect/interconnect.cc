@@ -1,7 +1,6 @@
 #include "interconnect.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "base/hash.hh"
 #include "base/logging.hh"
@@ -124,46 +123,6 @@ Interconnect::fingerprint() const
     add64(cfg_.bank_conflict_penalty);
     add64(cfg_.hop_latency);
     return h.digest();
-}
-
-void
-Interconnect::save(obs::ByteWriter &w) const
-{
-    w.u32(static_cast<std::uint32_t>(bank_slots_.size()));
-    for (const auto &slots : bank_slots_) {
-        w.u32(static_cast<std::uint32_t>(slots.size()));
-        for (Cycle c : slots)
-            w.u64(c);
-    }
-    w.u64(stats_.requests);
-    w.u64(stats_.conflicts);
-    w.u64(stats_.total_latency);
-    for (std::uint64_t v : stats_.bank_accesses)
-        w.u64(v);
-    for (std::uint64_t v : stats_.bank_conflicts)
-        w.u64(v);
-}
-
-void
-Interconnect::load(obs::ByteReader &r)
-{
-    if (r.u32() != bank_slots_.size())
-        throw std::runtime_error(
-            "interconnect checkpoint: bank count mismatch");
-    for (auto &slots : bank_slots_) {
-        if (r.u32() != slots.size())
-            throw std::runtime_error(
-                "interconnect checkpoint: MSHR count mismatch");
-        for (Cycle &c : slots)
-            c = r.u64();
-    }
-    stats_.requests = r.u64();
-    stats_.conflicts = r.u64();
-    stats_.total_latency = r.u64();
-    for (std::uint64_t &v : stats_.bank_accesses)
-        v = r.u64();
-    for (std::uint64_t &v : stats_.bank_conflicts)
-        v = r.u64();
 }
 
 } // namespace smtsim

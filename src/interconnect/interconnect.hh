@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "obs/serial.hh"
+#include "base/fields.hh"
 
 namespace smtsim
 {
@@ -79,6 +79,23 @@ struct InterconnectStats
     std::uint64_t total_latency = 0;
     std::vector<std::uint64_t> bank_accesses;
     std::vector<std::uint64_t> bank_conflicts;
+
+    bool operator==(const InterconnectStats &) const = default;
+
+    /** Field list (base/fields.hh): MachineStats JSON and the
+     *  interconnect block of SMTMCKP1 checkpoints, where the
+     *  per-bank arrays carry no count (the bank count is
+     *  configuration). */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("requests", s.requests);
+        ar("conflicts", s.conflicts);
+        ar("total_latency", s.total_latency);
+        ar("bank_accesses", FixedSize{s.bank_accesses});
+        ar("bank_conflicts", FixedSize{s.bank_conflicts});
+    }
 };
 
 /**
@@ -132,10 +149,19 @@ class Interconnect
     /** Config + topology digest folded into machine fingerprints. */
     std::uint64_t fingerprint() const;
 
-    /** Checkpoint the mutable bank state + counters. */
-    void save(obs::ByteWriter &w) const;
-    /** @throws std::runtime_error on a shape mismatch. */
-    void load(obs::ByteReader &r);
+    /** Checkpoint field list (base/serial.hh): the mutable bank
+     *  state, then the counters. A reader rejects a bank or MSHR
+     *  count that differs from this interconnect's. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &noc)
+    {
+        ar.shape("bank", noc.bank_slots_, [&ar](auto &slots) {
+            ar.shape("MSHR", slots,
+                     [&ar](auto &busy) { ar("busy_until", busy); });
+        });
+        ar("stats", noc.stats_);
+    }
 
   private:
     InterconnectConfig cfg_;

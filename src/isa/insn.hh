@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/fields.hh"
 #include "base/types.hh"
 #include "isa/op.hh"
 
@@ -67,6 +68,20 @@ struct Insn
     bool isThreadCtl() const { return isThreadCtlOp(op); }
 
     bool operator==(const Insn &other) const = default;
+
+    /** Field list (base/fields.hh): checkpoints store the fields,
+     *  never encode()'s word, so they do not depend on an
+     *  encode/decode round trip. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("op", wire<std::uint16_t>(s.op, static_cast<Op>(kNumOps - 1)));
+        ar("rd", s.rd);
+        ar("rs", s.rs);
+        ar("rt", s.rt);
+        ar("imm", s.imm);
+    }
 };
 
 inline int

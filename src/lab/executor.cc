@@ -44,9 +44,6 @@ simulateJob(const Job &job, double timeout_seconds,
           case EngineKind::Baseline:
             outcome = runBaseline(workload, job.baseline);
             break;
-          case EngineKind::Interp:
-            outcome = runFunctional(workload, job.interp_threads);
-            break;
           case EngineKind::Machine: {
             MachineConfig mcfg;
             mcfg.num_cores = job.machine.cores;

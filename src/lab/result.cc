@@ -3,9 +3,9 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "base/json_fields.hh"
 #include "base/strutil.hh"
 #include "machine/fu_pool.hh"
-#include "machine/run_stats_json.hh"
 
 namespace smtsim::lab
 {
@@ -70,7 +70,7 @@ resultToJson(const JobResult &r)
     j.set("from_cache", Json(r.from_cache));
     j.set("error", Json(r.error));
     j.set("wall_seconds", Json(r.wall_seconds));
-    j.set("stats", statsToJson(r.stats));
+    j.set("stats", toJson(r.stats));
     return j;
 }
 
@@ -84,7 +84,7 @@ resultFromJson(const Json &j)
     r.from_cache = j.at("from_cache").asBool();
     r.error = j.at("error").asString();
     r.wall_seconds = j.at("wall_seconds").asDouble();
-    r.stats = statsFromJson(j.at("stats"));
+    fromJson(j.at("stats"), r.stats, "stats");
     return r;
 }
 

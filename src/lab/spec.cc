@@ -384,7 +384,6 @@ engineName(EngineKind kind)
     switch (kind) {
       case EngineKind::Core: return "core";
       case EngineKind::Baseline: return "baseline";
-      case EngineKind::Interp: return "interp";
       case EngineKind::Machine: return "machine";
     }
     return "?";
@@ -402,9 +401,6 @@ Job::canonical() const
         break;
       case EngineKind::Baseline:
         oss << canonicalConfig(baseline);
-        break;
-      case EngineKind::Interp:
-        oss << "interp{threads=" << interp_threads << '}';
         break;
       case EngineKind::Machine:
         oss << canonicalConfig(machine) << '/'
@@ -441,17 +437,6 @@ baselineJob(std::string id, WorkloadSpec workload,
     job.engine = EngineKind::Baseline;
     job.workload = std::move(workload);
     job.baseline = cfg;
-    return job;
-}
-
-Job
-interpJob(std::string id, WorkloadSpec workload, int num_threads)
-{
-    Job job;
-    job.id = std::move(id);
-    job.engine = EngineKind::Interp;
-    job.workload = std::move(workload);
-    job.interp_threads = num_threads;
     return job;
 }
 

@@ -99,7 +99,7 @@ struct WorkloadSpec
 Workload instantiate(const WorkloadSpec &spec);
 
 /** Which engine executes a job. */
-enum class EngineKind { Core, Baseline, Interp, Machine };
+enum class EngineKind { Core, Baseline, Machine };
 
 const char *engineName(EngineKind kind);
 
@@ -122,6 +122,23 @@ struct MachineTuning
     InterconnectConfig noc;
     /** Barrier quantum; 0 = auto (ManyCoreMachine resolves it). */
     Cycle quantum = 0;
+
+    /** Field list (base/fields.hh) of the lab's config JSON; the
+     *  interconnect members sit flat beside the machine's own. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("cores", s.cores);
+        ar("remote_data", s.remote_data);
+        ar("l2_banks", s.noc.l2_banks);
+        ar("bank_interleave", s.noc.bank_interleave);
+        ar("mshrs_per_bank", s.noc.mshrs_per_bank);
+        ar("l2_access_cycles", s.noc.l2_access_cycles);
+        ar("bank_conflict_penalty", s.noc.bank_conflict_penalty);
+        ar("hop_latency", s.noc.hop_latency);
+        ar("quantum", s.quantum);
+    }
 };
 
 /** One simulation point: engine + configuration + workload. */
@@ -133,7 +150,6 @@ struct Job
     WorkloadSpec workload;
     CoreConfig core;            ///< used when engine is Core/Machine
     BaselineConfig baseline;    ///< used when engine == Baseline
-    int interp_threads = 1;     ///< used when engine == Interp
     MachineTuning machine;      ///< used when engine == Machine
 
     /**
@@ -153,8 +169,6 @@ Job coreJob(std::string id, WorkloadSpec workload,
             const CoreConfig &cfg);
 Job baselineJob(std::string id, WorkloadSpec workload,
                 const BaselineConfig &cfg = {});
-Job interpJob(std::string id, WorkloadSpec workload,
-              int num_threads = 1);
 Job machineJob(std::string id, WorkloadSpec workload,
                const CoreConfig &core,
                const MachineTuning &tuning = {});

@@ -1,7 +1,9 @@
 /**
  * @file
- * JSON serialization of experiment descriptions: WorkloadSpec, the
- * engine configurations, Job and ExperimentSpec.
+ * JSON serialization of experiment descriptions: WorkloadSpec, Job
+ * and ExperimentSpec. The engine configurations nested in them are
+ * written and read through their field lists (base/json_fields.hh:
+ * toJson/fromJson).
  *
  * This is the wire format of the simulation service (smtsim::serve):
  * clients submit an ExperimentSpec document, the daemon ships
@@ -13,7 +15,9 @@
  *
  * Unknown members are rejected, not ignored: a client sending a
  * config field this build does not understand must get an error
- * rather than a silently different simulation.
+ * rather than a silently different simulation. So is a number that
+ * does not fit its field (out of range, negative for an unsigned
+ * field, fractional for an integer one), with the member named.
  */
 
 #ifndef SMTSIM_LAB_SPEC_JSON_HH
@@ -28,12 +32,6 @@ namespace smtsim::lab
 Json workloadSpecToJson(const WorkloadSpec &spec);
 /** @throws JsonParseError on malformed/unknown-member input. */
 WorkloadSpec workloadSpecFromJson(const Json &j);
-
-Json coreConfigToJson(const CoreConfig &cfg);
-CoreConfig coreConfigFromJson(const Json &j);
-
-Json baselineConfigToJson(const BaselineConfig &cfg);
-BaselineConfig baselineConfigFromJson(const Json &j);
 
 Json jobToJson(const Job &job);
 Job jobFromJson(const Json &j);

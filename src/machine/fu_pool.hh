@@ -50,6 +50,20 @@ struct FuPoolConfig
         return int_alu + shifter + int_mul + fp_add + fp_mul +
                fp_div + load_store;
     }
+
+    /** Field list (base/fields.hh) of the lab's config JSON. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("int_alu", s.int_alu);
+        ar("shifter", s.shifter);
+        ar("int_mul", s.int_mul);
+        ar("fp_add", s.fp_add);
+        ar("fp_mul", s.fp_mul);
+        ar("fp_div", s.fp_div);
+        ar("load_store", s.load_store);
+    }
 };
 
 /** Human-readable FU class name. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstring>
 #include <exception>
 #include <mutex>
 #include <sstream>
@@ -12,7 +11,7 @@
 
 #include "base/hash.hh"
 #include "base/logging.hh"
-#include "obs/serial.hh"
+#include "base/serial.hh"
 
 namespace smtsim
 {
@@ -351,6 +350,32 @@ ManyCoreMachine::checkpointFingerprint() const
     return h.digest();
 }
 
+template <class Ar, class Self>
+void
+ManyCoreMachine::transfer(Ar &ar, Self &m)
+{
+    ar.expect(kMachineMagic, "magic (not a machine checkpoint)");
+    ar.expect(m.checkpointFingerprint(), "machine fingerprint");
+    ar("now", m.now_);
+    ar("quanta", m.quanta_);
+    ar("noc", m.noc_);
+    // Each core as a length-prefixed SMTCKPT1 blob. The blob grows
+    // only as the input supplies it.
+    for (const auto &core : m.cores_) {
+        std::string blob;
+        if constexpr (!Ar::kLoading) {
+            std::ostringstream os;
+            core->saveCheckpoint(os);
+            blob = std::move(os).str();
+        }
+        ar.blob("core", blob);
+        if constexpr (Ar::kLoading) {
+            std::istringstream is(std::move(blob));
+            core->restoreCheckpoint(is);
+        }
+    }
+}
+
 void
 ManyCoreMachine::saveCheckpoint(std::ostream &os) const
 {
@@ -359,52 +384,17 @@ ManyCoreMachine::saveCheckpoint(std::ostream &os) const
                       "manycore checkpoint: unresolved remote "
                       "request (saves must happen at a barrier)");
     }
-    obs::ByteWriter w(os);
-    w.bytes("SMTMCKP1", 8);
-    w.u64(checkpointFingerprint());
-    w.u64(now_);
-    w.u64(quanta_);
-    noc_.save(w);
-    for (const auto &core : cores_) {
-        std::ostringstream blob;
-        core->saveCheckpoint(blob);
-        const std::string bytes = std::move(blob).str();
-        w.u64(bytes.size());
-        w.bytes(bytes.data(), bytes.size());
-    }
-    if (!w.ok()) {
-        throw std::runtime_error(
-            "manycore checkpoint: write failed");
-    }
+    SaveArchive ar(os);
+    transfer(ar, *this);
+    if (!ar.ok())
+        throw std::runtime_error("machine checkpoint: write failed");
 }
 
 void
 ManyCoreMachine::restoreCheckpoint(std::istream &is)
 {
-    obs::ByteReader r(is);
-    char magic[8];
-    r.bytes(magic, sizeof magic);
-    if (std::memcmp(magic, "SMTMCKP1", sizeof magic) != 0) {
-        throw std::runtime_error(
-            "manycore checkpoint: bad magic (not a machine "
-            "checkpoint)");
-    }
-    obs::expectU64(r, checkpointFingerprint(),
-                   "machine fingerprint");
-    now_ = r.u64();
-    quanta_ = r.u64();
-    noc_.load(r);
-    for (const auto &core : cores_) {
-        const std::uint64_t n = r.u64();
-        if (n > (1ull << 32)) {
-            throw std::runtime_error(
-                "manycore checkpoint: implausible core blob size");
-        }
-        std::string blob(static_cast<std::size_t>(n), '\0');
-        r.bytes(blob.data(), blob.size());
-        std::istringstream s(std::move(blob));
-        core->restoreCheckpoint(s);
-    }
+    LoadArchive ar(is, "machine checkpoint");
+    transfer(ar, *this);
 }
 
 } // namespace smtsim

@@ -85,6 +85,21 @@ struct MachineStats
 
     /** Machine-wide roll-up: counters summed, cycles = max. */
     RunStats aggregate() const;
+
+    bool operator==(const MachineStats &) const = default;
+
+    /** Field list (base/fields.hh) of `smtsim-run --cores N --json`
+     *  and the lab cache. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("cycles", s.cycles);
+        ar("quanta", s.quanta);
+        ar("finished", s.finished);
+        ar("cores", s.cores);
+        ar("noc", s.noc);
+    }
 };
 
 /**
@@ -242,6 +257,14 @@ class ManyCoreMachine
 
     /** Lazily created persistent host-thread pool. */
     std::unique_ptr<WorkerPool> pool_;
+
+    /** "SMTMCKP1" read as a little-endian u64. */
+    static constexpr std::uint64_t kMachineMagic = 0x31504b434d544d53ull;
+
+    /** The one SMTMCKP1 transfer: writes with Self = const
+     *  ManyCoreMachine, restores with Self = ManyCoreMachine. */
+    template <class Ar, class Self>
+    static void transfer(Ar &ar, Self &m);
 };
 
 } // namespace smtsim

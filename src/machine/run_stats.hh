@@ -55,6 +55,33 @@ struct RunStats
     double busiestUnitUtilization() const;
     /** Utilization (percent) of the busiest unit of @p cls. */
     double unitUtilization(FuClass cls, int unit) const;
+
+    bool operator==(const RunStats &) const = default;
+
+    /** Field list (base/fields.hh): the RunStats JSON of
+     *  `smtsim-run --json` and the lab cache, and the statistics
+     *  block of SMTCKPT1 checkpoints. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("cycles", s.cycles);
+        ar("instructions", s.instructions);
+        ar("finished", s.finished);
+        ar("fu_grants", s.fu_grants);
+        ar("fu_busy", s.fu_busy);
+        ar("unit_busy", s.unit_busy);
+        ar("branches", s.branches);
+        ar("loads", s.loads);
+        ar("stores", s.stores);
+        ar("standby_stalls", s.standby_stalls);
+        ar("context_switches", s.context_switches);
+        ar("writeback_conflicts", s.writeback_conflicts);
+        ar("dcache_hits", s.dcache_hits);
+        ar("dcache_misses", s.dcache_misses);
+        ar("icache_hits", s.icache_hits);
+        ar("icache_misses", s.icache_misses);
+    }
 };
 
 } // namespace smtsim

@@ -14,7 +14,6 @@
 #define SMTSIM_MEM_CACHE_HH
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "base/types.hh"
@@ -35,6 +34,17 @@ struct CacheConfig
     Cycle miss_penalty = 20;
 
     bool enabled() const { return size_bytes > 0; }
+
+    /** Field list (base/fields.hh) of the lab's config JSON. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("size_bytes", s.size_bytes);
+        ar("line_bytes", s.line_bytes);
+        ar("ways", s.ways);
+        ar("miss_penalty", s.miss_penalty);
+    }
 };
 
 /**
@@ -69,26 +79,29 @@ class DirectMappedCache
 
     void reset();
 
+    /** Checkpoint field list (base/serial.hh): the tag store, whose
+     *  shape a reader requires to match, then the LRU clock and the
+     *  counters. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &c)
+    {
+        ar.shape("cache way", c.ways_, [&ar](auto &way) {
+            ar("tag", way.tag);
+            ar("last_used", way.last_used);
+        });
+        ar("tick", c.tick_);
+        ar("hits", c.hits_);
+        ar("misses", c.misses_);
+    }
+
+  private:
     struct Way
     {
         std::uint64_t tag;
         std::uint64_t last_used;
     };
 
-    /** Checkpoint support: raw tag-store state. */
-    const std::vector<Way> &rawWays() const { return ways_; }
-    std::uint64_t tick() const { return tick_; }
-    void
-    restoreRaw(std::vector<Way> ways, std::uint64_t tick,
-               std::uint64_t hits, std::uint64_t misses)
-    {
-        ways_ = std::move(ways);
-        tick_ = tick;
-        hits_ = hits;
-        misses_ = misses;
-    }
-
-  private:
     CacheConfig cfg_;
     int line_shift_ = 0;
     int num_sets_ = 0;

@@ -219,6 +219,16 @@ struct RemoteRegion
     {
         return size > 0 && addr >= base && addr - base < size;
     }
+
+    /** Field list (base/fields.hh) of the lab's config JSON. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &s)
+    {
+        ar("base", s.base);
+        ar("size", s.size);
+        ar("latency", s.latency);
+    }
 };
 
 } // namespace smtsim

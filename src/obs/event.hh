@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <string>
 
+#include "base/fields.hh"
 #include "base/types.hh"
 
 namespace smtsim::obs
@@ -93,6 +94,27 @@ struct Event
     std::uint32_t pc = 0;    ///< pc or address
     std::uint32_t insn = 0;  ///< encoded instruction word, 0 = n/a
     std::uint64_t a = 0;     ///< kind-specific payload
+
+    /** Field list (base/fields.hh) of the 32-byte SMTEVT1 record;
+     *  the padding keeps records 8-byte aligned. */
+    template <class Ar, class Self>
+    static void
+    fields(Ar &ar, Self &ev)
+    {
+        std::uint8_t pad8 = 0;
+        std::uint16_t pad16 = 0;
+        ar("cycle", ev.cycle);
+        ar("kind", wire<std::uint8_t>(
+                       ev.kind, static_cast<EventKind>(kNumEventKinds - 1)));
+        ar("slot", ev.slot);
+        ar("fu", ev.fu);
+        ar("pad", pad8);
+        ar("unit", ev.unit);
+        ar("pad", pad16);
+        ar("pc", ev.pc);
+        ar("insn", ev.insn);
+        ar("a", ev.a);
+    }
 };
 
 /** Stable lower-case name of an event kind ("issue", "grant"...). */

@@ -1,8 +1,7 @@
 #include "sinks.hh"
 
-#include <stdexcept>
 
-#include "obs/serial.hh"
+#include "base/serial.hh"
 
 namespace smtsim::obs
 {
@@ -11,63 +10,31 @@ BinarySink::BinarySink(std::ostream &os, const TraceMeta &meta)
     : os_(os)
 {
     ByteWriter w(os_);
-    w.u64(kEventMagic);
-    w.u32(kEventSchemaVersion);
-    w.u32(static_cast<std::uint32_t>(meta.num_slots));
+    w.put(kEventMagic);
+    w.put(kEventSchemaVersion);
+    w.put(static_cast<std::uint32_t>(meta.num_slots));
 }
 
 void
 BinarySink::event(const Event &ev)
 {
-    ByteWriter w(os_);
-    w.u64(ev.cycle);
-    w.u8(static_cast<std::uint8_t>(ev.kind));
-    w.u8(static_cast<std::uint8_t>(ev.slot));
-    w.u8(static_cast<std::uint8_t>(ev.fu));
-    w.u8(0); // padding, keeps the record 8-byte aligned at 32 bytes
-    w.u16(static_cast<std::uint16_t>(ev.unit));
-    w.u16(0);
-    w.u32(ev.pc);
-    w.u32(ev.insn);
-    w.u64(ev.a);
-}
-
-void
-NdjsonSink::event(const Event &ev)
-{
-    os_ << "{\"c\":" << ev.cycle << ",\"k\":\""
-        << eventKindName(ev.kind) << "\",\"slot\":" << int{ev.slot}
-        << ",\"fu\":" << int{ev.fu} << ",\"unit\":" << ev.unit
-        << ",\"pc\":" << ev.pc << ",\"insn\":" << ev.insn
-        << ",\"a\":" << ev.a << "}\n";
+    SaveArchive ar(os_);
+    ar("event", ev);
 }
 
 EventStream
 readEventStream(std::istream &is)
 {
-    ByteReader r(is);
-    expectU64(r, kEventMagic, "event-stream magic");
-    expectU32(r, kEventSchemaVersion, "event-stream version");
-
+    LoadArchive ar(is, "obs");
+    ar.expect(kEventMagic, "event-stream magic");
+    ar.expect(kEventSchemaVersion, "event-stream version");
     EventStream stream;
-    stream.meta.num_slots = static_cast<int>(r.u32());
-
-    while (!r.atEof()) {
-        Event ev;
-        ev.cycle = r.u64();
-        const std::uint8_t kind = r.u8();
-        if (kind >= kNumEventKinds)
-            throw std::runtime_error("obs: unknown event kind");
-        ev.kind = static_cast<EventKind>(kind);
-        ev.slot = static_cast<std::int8_t>(r.u8());
-        ev.fu = static_cast<std::int8_t>(r.u8());
-        r.u8();
-        ev.unit = static_cast<std::int16_t>(r.u16());
-        r.u16();
-        ev.pc = r.u32();
-        ev.insn = r.u32();
-        ev.a = r.u64();
-        stream.events.push_back(ev);
+    auto slots = static_cast<std::uint32_t>(stream.meta.num_slots);
+    ar("num_slots", slots);
+    stream.meta.num_slots = static_cast<int>(slots);
+    while (!ar.atEof()) {
+        stream.events.emplace_back();
+        ar("event", stream.events.back());
     }
     return stream;
 }

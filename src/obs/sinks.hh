@@ -7,8 +7,6 @@
  *  - BinarySink: compact fixed-width records, the recording format
  *    smtsim-scope replays (format documented in
  *    docs/OBSERVABILITY.md).
- *  - NdjsonSink: one JSON object per line, for ad-hoc tooling
- *    (jq) without a schema-aware reader.
  *  - readEventStream(): parse a BinarySink file back into memory.
  */
 
@@ -58,19 +56,6 @@ class BinarySink : public EventSink
   public:
     /** Writes the stream header immediately. */
     BinarySink(std::ostream &os, const TraceMeta &meta);
-
-    void event(const Event &ev) override;
-    void flush() override { os_.flush(); }
-
-  private:
-    std::ostream &os_;
-};
-
-/** One JSON object per line; keys match the Event fields. */
-class NdjsonSink : public EventSink
-{
-  public:
-    explicit NdjsonSink(std::ostream &os) : os_(os) {}
 
     void event(const Event &ev) override;
     void flush() override { os_.flush(); }

@@ -211,8 +211,6 @@ jobSlots(const lab::Job &job)
     switch (job.engine) {
       case lab::EngineKind::Baseline:
         return 1;
-      case lab::EngineKind::Interp:
-        return job.interp_threads;
       case lab::EngineKind::Core:
       case lab::EngineKind::Machine:
         return job.core.num_slots;

@@ -371,6 +371,33 @@ TEST(ProgramTest, LoadRejectsCorruptInput)
     EXPECT_THROW(Program::load(junk), FatalError);
 }
 
+TEST(ProgramTest, LoadRejectsLengthsBeyondTheInput)
+{
+    // Segment and symbol lengths far past the bytes present are
+    // truncation errors; nothing the lengths claim is allocated
+    // first.
+    auto image = [](std::uint32_t nwords, std::uint32_t nbytes) {
+        std::string s;
+        for (std::uint32_t v : {0x504d5453u, 1u, 0x1000u, nwords,
+                                0x100000u, nbytes}) {
+            for (int i = 0; i < 4; ++i)
+                s.push_back(static_cast<char>(v >> (8 * i)));
+        }
+        return s;
+    };
+    for (const std::string &bytes :
+         {image(0, 256u << 20), image(0xffffffffu, 0)}) {
+        std::stringstream in(bytes);
+        try {
+            Program::load(in);
+            FAIL() << "accepted";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(),
+                         "fatal: program load: truncated stream");
+        }
+    }
+}
+
 TEST(ProgramTest, SavedProgramStillRuns)
 {
     const Program p = assemble(R"(

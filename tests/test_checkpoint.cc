@@ -19,10 +19,11 @@
 #include <vector>
 
 #include "asmr/assembler.hh"
+#include "base/json_fields.hh"
+#include "ckpt_layout.hh"
 #include "core/processor.hh"
 #include "fuzz/generate.hh"
 #include "machine/manycore.hh"
-#include "machine/manycore_json.hh"
 #include "test_common.hh"
 #include "workloads/workloads.hh"
 
@@ -36,23 +37,7 @@ void
 expectSameStats(const RunStats &a, const RunStats &b,
                 const std::string &what)
 {
-    EXPECT_EQ(a.cycles, b.cycles) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.finished, b.finished) << what;
-    EXPECT_EQ(a.fu_grants, b.fu_grants) << what;
-    EXPECT_EQ(a.fu_busy, b.fu_busy) << what;
-    EXPECT_EQ(a.unit_busy, b.unit_busy) << what;
-    EXPECT_EQ(a.branches, b.branches) << what;
-    EXPECT_EQ(a.loads, b.loads) << what;
-    EXPECT_EQ(a.stores, b.stores) << what;
-    EXPECT_EQ(a.standby_stalls, b.standby_stalls) << what;
-    EXPECT_EQ(a.context_switches, b.context_switches) << what;
-    EXPECT_EQ(a.writeback_conflicts, b.writeback_conflicts)
-        << what;
-    EXPECT_EQ(a.dcache_hits, b.dcache_hits) << what;
-    EXPECT_EQ(a.dcache_misses, b.dcache_misses) << what;
-    EXPECT_EQ(a.icache_hits, b.icache_hits) << what;
-    EXPECT_EQ(a.icache_misses, b.icache_misses) << what;
+    EXPECT_EQ(toJson(a).dump(), toJson(b).dump()) << what;
 }
 
 struct FinalState
@@ -456,4 +441,214 @@ TEST(Checkpoint, FuzzedProgramsResumeBitIdentically)
     // The generator occasionally emits near-empty programs; most
     // must still exercise a real split.
     EXPECT_GE(checked, 200);
+}
+
+// ----------------------------------------------------------------
+// Hostile blobs: restore must reject every field the run loop
+// indexes with, instead of accepting it and crashing later.
+// ----------------------------------------------------------------
+
+namespace
+{
+
+/** A valid mid-traffic blob of the queue program and its layout. */
+struct Doctor
+{
+    Program prog = test::queueTrafficProgram();
+    CoreConfig cfg;
+    std::string blob;
+    test::CkptLayout layout;
+
+    Doctor()
+    {
+        cfg.max_cycles = 100'000;
+        Cycle at = 0;
+        blob = test::checkpointMidTraffic(prog, cfg, &at);
+        layout = test::walkCheckpoint(blob);
+    }
+
+    /** Restore @p bytes into a fresh processor: the error message,
+     *  or "accepted". */
+    std::string
+    restore(const std::string &bytes) const
+    {
+        MainMemory mem;
+        MultithreadedProcessor cpu(prog, mem, cfg);
+        std::istringstream is(bytes);
+        try {
+            cpu.restoreCheckpoint(is);
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "accepted";
+    }
+
+    /** Poke @p v at @p at and expect a rejection mentioning
+     *  @p needle. */
+    void
+    expectRejected(std::size_t at, std::uint32_t v,
+                   const std::string &needle) const
+    {
+        std::string bad = blob;
+        test::pokeU32(bad, at, v);
+        const std::string got = restore(bad);
+        EXPECT_NE(got.find(needle), std::string::npos) << got;
+    }
+};
+
+} // namespace
+
+TEST(CheckpointHostile, ValidBlobIsAccepted)
+{
+    const Doctor d;
+    ASSERT_FALSE(d.blob.empty());
+    EXPECT_EQ(d.restore(d.blob), "accepted");
+}
+
+TEST(CheckpointHostile, SlotFrameOutOfRange)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.slot_frames.at(0), 0x10000000,
+                     "slot frame out of range");
+}
+
+TEST(CheckpointHostile, FetchSlotOutOfRange)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.fetch_slots.at(0), 4,
+                     "fetch slot out of range");
+}
+
+TEST(CheckpointHostile, PendingPushSlotOutOfRange)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.push_slots.at(0), 0xffffffff,
+                     "pending push slot out of range");
+}
+
+TEST(CheckpointHostile, IssuedOpSlotOutOfRange)
+{
+    const Doctor d;
+    ASSERT_FALSE(d.layout.incoming_ops.empty());
+    d.expectRejected(d.layout.incoming_ops[0] + test::kIssuedOpSlot,
+                     77, "issued op in a bad or busy slot");
+}
+
+TEST(CheckpointHostile, StandbyOpInAnotherSlotsStation)
+{
+    const Doctor d;
+    const std::size_t op = d.layout.standby_ops.at(0);
+    // Any other in-range slot: the station index is the op's own.
+    const std::uint32_t own = static_cast<unsigned char>(
+        d.blob.at(op + test::kIssuedOpSlot));
+    d.expectRejected(op + test::kIssuedOpSlot, own ^ 1,
+                     "standby op in another slot's station");
+}
+
+TEST(CheckpointHostile, IssuedOpRegisterFieldsMustMatchTheText)
+{
+    // Opcode u16, then rd, rs, rt: a changed register is an
+    // instruction the program does not contain.
+    const Doctor d;
+    std::string bad = d.blob;
+    bad.at(d.layout.standby_ops.at(0) + 2) ^= 0x1f;     // rd
+    EXPECT_NE(d.restore(bad).find("does not match the program text"),
+              std::string::npos);
+    bad = d.blob;
+    bad.at(d.layout.incoming_ops.at(0) + 4) ^= 0x1f;    // rt
+    EXPECT_NE(d.restore(bad).find("does not match the program text"),
+              std::string::npos);
+}
+
+TEST(CheckpointHostile, PriorityRingMustBeAPermutation)
+{
+    const Doctor d;
+    ASSERT_EQ(d.layout.ring.size(), 4u);
+    std::string bad = d.blob;
+    // Duplicate the head: slot order {a, a, c, d}.
+    bad.replace(d.layout.ring[1], 4, d.blob, d.layout.ring[0], 4);
+    EXPECT_NE(d.restore(bad).find("not a permutation"),
+              std::string::npos);
+    d.expectRejected(d.layout.ring[2], 4, "not a permutation");
+}
+
+TEST(CheckpointHostile, ReadyFrameOutOfRange)
+{
+    // One slot, three frames: spawned contexts queue for the slot.
+    const Program prog = assemble("main: addi r1, r0, 1\nhalt\n");
+    CoreConfig cfg;
+    cfg.num_slots = 1;
+    cfg.num_frames = 3;
+    MainMemory mem;
+    prog.loadInto(mem);
+    MultithreadedProcessor cpu(prog, mem, cfg);
+    cpu.spawnContext(prog.entry);
+    cpu.spawnContext(prog.entry);
+    cpu.runUntil(1);
+    std::ostringstream os;
+    cpu.saveCheckpoint(os);
+    std::string bad = os.str();
+    const test::CkptLayout l = test::walkCheckpoint(bad);
+    ASSERT_FALSE(l.ready_frames.empty());
+    test::pokeU32(bad, l.ready_frames[0], 3);
+
+    MainMemory mem2;
+    MultithreadedProcessor fresh(prog, mem2, cfg);
+    std::istringstream is(bad);
+    try {
+        fresh.restoreCheckpoint(is);
+        FAIL() << "accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("ready frame out of range"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(CheckpointHostile, ScheduleUnitShapeMismatchIsARuntimeError)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.sched_units, 2,
+                     "schedule-unit unit count mismatch");
+}
+
+TEST(CheckpointHostile, QueueRingShapeMismatchIsARuntimeError)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.queue_links, 5,
+                     "queue link count mismatch");
+}
+
+TEST(CheckpointHostile, MachineBlobSizeBeyondTheInput)
+{
+    // A 276-byte SMTMCKP1 whose first core blob claims 2^27 bytes:
+    // the reader reports the truncation instead of first allocating
+    // what the length field claims.
+    MatmulParams mp;
+    mp.n = 4;
+    const Workload w = makeMatmul(mp);
+    MachineConfig cfg;
+    cfg.num_cores = 2;
+    cfg.core.num_slots = 2;
+    cfg.core.remote.base = w.program.data_base;
+    cfg.core.remote.size = static_cast<Addr>(w.program.data.size());
+    ManyCoreMachine m(w.program, cfg);
+    m.runUntil(400);
+    std::ostringstream os;
+    m.saveCheckpoint(os);
+    std::string bad = os.str();
+    const std::size_t core = bad.find("SMTCKPT1");
+    ASSERT_NE(core, std::string::npos);
+    bad.resize(core);
+    test::pokeU32(bad, core - 8, 1u << 27);
+    ASSERT_EQ(bad.size(), 276u);
+
+    ManyCoreMachine fresh(w.program, cfg);
+    std::istringstream is(bad);
+    try {
+        fresh.restoreCheckpoint(is);
+        FAIL() << "accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "machine checkpoint: truncated stream");
+    }
 }

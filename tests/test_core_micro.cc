@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/sinks.hh"
 #include "test_common.hh"
 
 using namespace smtsim;
@@ -272,7 +273,8 @@ loop:   addi r1, r1, -1
     cfg.num_slots = 1;
     MultithreadedProcessor cpu(m.prog, m.mem, cfg);
     std::ostringstream trace;
-    cpu.setPipeTrace(&trace);
+    obs::TextSink sink(trace);
+    cpu.setEventSink(&sink);
     ASSERT_TRUE(cpu.run().finished);
     const std::string t = trace.str();
     EXPECT_NE(t.find("issue"), std::string::npos);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "base/json.hh"
 
 using namespace smtsim;
@@ -26,6 +28,26 @@ TEST(Json, LargeIntegersStayExact)
     const std::uint64_t big = 2'000'000'000ull * 3;   // > 2^32
     const Json j = Json::parse(Json(big).dump());
     EXPECT_EQ(j.asU64(), big);
+}
+
+TEST(Json, IntegerAccessorsAreExact)
+{
+    // Unsigned values past INT64_MAX print and parse as themselves.
+    const std::uint64_t top = ~std::uint64_t{0};
+    EXPECT_EQ(Json(top).dump(), "18446744073709551615");
+    EXPECT_EQ(Json::parse("18446744073709551615").asU64(), top);
+    EXPECT_THROW(Json::parse("18446744073709551615").asInt(),
+                 JsonParseError);
+    // Negative, fractional and out-of-range values are not
+    // truncated or wrapped.
+    EXPECT_THROW(Json::parse("-1").asU64(), JsonParseError);
+    EXPECT_THROW(Json::parse("2.5").asInt(), JsonParseError);
+    EXPECT_THROW(Json::parse("1e300").asInt(), JsonParseError);
+    EXPECT_THROW(Json::parse("18446744073709551616").asU64(),
+                 JsonParseError);
+    EXPECT_EQ(Json::parse("4.0").asInt(), 4);
+    EXPECT_EQ(Json::parse("-9223372036854775808").asInt(),
+              std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Json, ObjectPreservesInsertionOrder)

@@ -22,8 +22,9 @@
 
 #include <gtest/gtest.h>
 
+#include "base/json_fields.hh"
 #include "lab/lab.hh"
-#include "machine/run_stats_json.hh"
+#include "machine/manycore.hh"
 
 using namespace smtsim;
 using namespace smtsim::lab;
@@ -89,7 +90,7 @@ TEST(LabDeterminism, RepeatedRunsAreBitwiseIdentical)
         SCOPED_TRACE(jobs[i].id);
         EXPECT_TRUE(a.results[i].ok) << a.results[i].error;
         EXPECT_TRUE(
-            statsEqual(a.results[i].stats, b.results[i].stats));
+            a.results[i].stats == b.results[i].stats);
     }
 }
 
@@ -105,7 +106,7 @@ TEST(LabDeterminism, ParallelMatchesSerial)
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(jobs[i].id);
         EXPECT_TRUE(
-            statsEqual(a.results[i].stats, b.results[i].stats));
+            a.results[i].stats == b.results[i].stats);
         EXPECT_EQ(a.results[i].id, b.results[i].id);
     }
 }
@@ -172,7 +173,7 @@ TEST(LabCacheKey, EveryConfigFieldMoves)
                           CoreConfig{})
                       .cacheKey());
     EXPECT_NE(k0, baselineJob("p", wl).cacheKey());
-    EXPECT_NE(k0, interpJob("p", wl).cacheKey());
+    EXPECT_NE(k0, machineJob("p", wl, CoreConfig{}).cacheKey());
 }
 
 // ----------------------------------------------------------------
@@ -196,8 +197,7 @@ TEST_F(LabCacheTest, SecondSweepIsAllHits)
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         SCOPED_TRACE(jobs[i].id);
         EXPECT_TRUE(warm.results[i].from_cache);
-        EXPECT_TRUE(statsEqual(cold.results[i].stats,
-                               warm.results[i].stats));
+        EXPECT_TRUE(cold.results[i].stats == warm.results[i].stats);
     }
 }
 
@@ -442,6 +442,109 @@ TEST(LabSpec, JsonRejectsReplayMember)
     }
 }
 
+/** The JsonParseError @p read throws, or "accepted". */
+template <class F>
+std::string
+parseError(F read)
+{
+    try {
+        read();
+    } catch (const JsonParseError &e) {
+        return e.what();
+    }
+    return "accepted";
+}
+
+TEST(LabSpec, JsonRejectsNumbersThatDoNotFitTheirField)
+{
+    ExperimentSpec base;
+    base.workloads = {WorkloadSpec::matmul(4)};
+    // Set @p member (or its nested @p field) to @p value and parse.
+    auto reject = [&](const char *member, const char *field,
+                      const char *value) {
+        Json j = experimentSpecToJson(base);
+        if (field == nullptr) {
+            j.set(member, Json::parse(value));
+        } else {
+            Json sub = j.at(member);
+            sub.set(field, Json::parse(value));
+            j.set(member, sub);
+        }
+        return parseError([&] { experimentSpecFromJson(j); });
+    };
+    const struct
+    {
+        const char *member;
+        const char *field;
+        const char *value;
+        const char *needle;
+    } cases[] = {
+        // Narrowing used to wrap 4294967297 to a 1-slot job.
+        {"slots", nullptr, "[4294967297]", "slots"},
+        {"slots", nullptr, "[2.5]", "slots"},
+        {"core_template", "max_cycles", "-1", "max_cycles"},
+        {"core_template", "rotation_mode", "\"sideways\"",
+         "rotation_mode"},
+        {"machine_template", "bank_interleave", "4294967296",
+         "bank_interleave"},
+        {"baseline_template", "width", "1e300", "width"},
+    };
+    for (const auto &c : cases) {
+        const std::string err = reject(c.member, c.field, c.value);
+        EXPECT_NE(err.find(c.needle), std::string::npos)
+            << c.member << " " << c.value << " -> " << err;
+    }
+    EXPECT_NE(parseError([] {
+                  workloadSpecFromJson(Json::parse(
+                      R"({"kind": "matmul", "params": {"n": 0.5}})"));
+              }).find("n: expected an integer"),
+              std::string::npos);
+}
+
+TEST(LabSpec, ConfigJsonRoundTripsTheFullUnsignedRange)
+{
+    CoreConfig cfg;
+    cfg.max_cycles = ~std::uint64_t{0};
+    cfg.remote.base = 0xffffffffu;
+    CoreConfig back;
+    fromJson(Json::parse(toJson(cfg).dump()), back, "core");
+    EXPECT_EQ(back.max_cycles, cfg.max_cycles);
+    EXPECT_EQ(back.remote.base, cfg.remote.base);
+}
+
+/** The error reading @p j as a @p T, or "accepted". */
+template <class T>
+std::string
+readError(const Json &j)
+{
+    return parseError([&] {
+        T v;
+        fromJson(j, v, "stats");
+    });
+}
+
+TEST(LabResult, StatsJsonRejectsUnknownMembers)
+{
+    Json stats = toJson(RunStats{});
+    stats.set("cycels", Json(1));
+    EXPECT_NE(readError<RunStats>(stats).find("unknown member \"cycels\""),
+              std::string::npos);
+
+    MachineStats ms;
+    ms.cores.resize(2);
+    Json machine = toJson(ms);
+    Json noc = machine.at("noc");
+    noc.set("hops", Json(3));
+    machine.set("noc", noc);
+    EXPECT_NE(readError<MachineStats>(machine).find("unknown member \"hops\""),
+              std::string::npos);
+    machine = toJson(ms);
+    machine.set("speedup", Json(2.0));
+    EXPECT_NE(
+        readError<MachineStats>(machine).find("unknown member \"speedup\""),
+        std::string::npos);
+}
+
 TEST(LabResult, JsonRoundTrip)
 {
     LabOptions opts;
@@ -452,7 +555,7 @@ TEST(LabResult, JsonRoundTrip)
         EXPECT_EQ(back.id, r.id);
         EXPECT_EQ(back.key, r.key);
         EXPECT_EQ(back.ok, r.ok);
-        EXPECT_TRUE(statsEqual(back.stats, r.stats));
+        EXPECT_TRUE(back.stats == r.stats);
     }
     // CSV: header + one line per result.
     const std::string csv = rs.toCsv();

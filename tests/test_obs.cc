@@ -17,7 +17,6 @@
 
 #include "asmr/assembler.hh"
 #include "baseline/baseline.hh"
-#include "base/json.hh"
 #include "core/processor.hh"
 #include "obs/scope.hh"
 #include "obs/sinks.hh"
@@ -195,26 +194,6 @@ TEST(ObsEvent, BinaryReaderRejectsGarbage)
     EXPECT_THROW(readEventStream(cut), std::runtime_error);
 }
 
-TEST(ObsEvent, NdjsonLinesParse)
-{
-    Machine m(kLoopProgram);
-    MultithreadedProcessor cpu(m.prog, m.mem, {});
-    std::stringstream ss;
-    NdjsonSink sink(ss);
-    cpu.setEventSink(&sink);
-    cpu.run();
-
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(ss, line)) {
-        const Json j = Json::parse(line);
-        EXPECT_TRUE(j.find("c") != nullptr) << line;
-        EXPECT_TRUE(j.find("k") != nullptr) << line;
-        ++lines;
-    }
-    EXPECT_GT(lines, 10u);
-}
-
 TEST(ObsEvent, CoreStreamMatchesRunStats)
 {
     CoreConfig cfg;
@@ -257,12 +236,13 @@ TEST(ObsEvent, BaselineStreamMatchesRunStats)
     EXPECT_EQ(countRetired(sink.events), stats.instructions);
 }
 
-TEST(ObsEvent, TextSinkPipeTraceShim)
+TEST(ObsEvent, TextSinkPipeTrace)
 {
     Machine m(kLoopProgram);
     MultithreadedProcessor cpu(m.prog, m.mem, {});
     std::stringstream ss;
-    cpu.setPipeTrace(&ss);
+    TextSink sink(ss);
+    cpu.setEventSink(&sink);
     cpu.run();
     const std::string text = ss.str();
     EXPECT_NE(text.find("grant"), std::string::npos);

@@ -132,7 +132,8 @@ TEST(ServeProtocol, JobRoundTripPreservesCacheKey)
     spec.include_baseline = true;
 
     std::vector<Job> jobs = spec.expand();
-    jobs.push_back(interpJob("interp", WorkloadSpec::matmul(6), 3));
+    jobs.push_back(machineJob("machine", WorkloadSpec::matmul(6),
+                              CoreConfig{}));
     ASSERT_GT(jobs.size(), 32u);
 
     for (const Job &job : jobs) {
@@ -747,6 +748,8 @@ TEST(ServeServer, InvalidSpecValuesAreRejectedNotFatal)
         {"empty-axis", "slots", "[]", "slots"},
         {"dup-axis", "slots", "[4,4]", "duplicate"},
         {"no-workloads", "workloads", "[]", "workloads"},
+        // Narrowing used to admit this as a 1-slot job.
+        {"wide-axis", "slots", "[4294967297]", "slots: expected"},
     };
     for (const auto &c : cases) {
         Json submit = Json::parse(submitLine(c.tag, smallSpec()));
@@ -764,7 +767,8 @@ TEST(ServeServer, InvalidSpecValuesAreRejectedNotFatal)
 
     // The daemon survived all of it.
     EXPECT_TRUE(client.ping(&error)) << error;
-    EXPECT_EQ(server.stats().rejected, 3u);
+    EXPECT_EQ(server.stats().rejected, 4u);
+    EXPECT_EQ(server.stats().jobs_submitted, 0u);
     server.stop();
 }
 

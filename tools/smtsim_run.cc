@@ -78,13 +78,12 @@
 
 #include "analysis/lint.hh"
 #include "asmr/assembler.hh"
+#include "base/json_fields.hh"
 #include "base/strutil.hh"
 #include "fastpath/engine.hh"
 #include "baseline/baseline.hh"
 #include "core/processor.hh"
 #include "machine/manycore.hh"
-#include "machine/manycore_json.hh"
-#include "machine/run_stats_json.hh"
 #include "mem/memory.hh"
 #include "obs/sinks.hh"
 
@@ -461,7 +460,7 @@ main(int argc, char **argv)
         // machine-readable object on stdout.
         auto report = [&](const RunStats &s) {
             if (want_json)
-                std::cout << statsToJson(s).dump(2) << '\n';
+                std::cout << toJson(s).dump(2) << '\n';
             else
                 printStats(s);
         };
@@ -550,7 +549,7 @@ main(int argc, char **argv)
                 s = machine->run(host_threads);
             }
             if (want_json)
-                std::cout << machineStatsToJson(s).dump(2) << '\n';
+                std::cout << toJson(s).dump(2) << '\n';
             else
                 printMachineStats(s);
         } else if (engine == "core") {
@@ -624,7 +623,7 @@ main(int argc, char **argv)
                 RunStats s;
                 s.instructions = r.steps;
                 s.finished = r.completed;
-                std::cout << statsToJson(s).dump(2) << '\n';
+                std::cout << toJson(s).dump(2) << '\n';
             } else {
                 std::printf("instructions  %llu\n",
                             (unsigned long long)r.steps);
