@@ -4,12 +4,9 @@
 # logical_processors, from 1x1 up to 64 cores x 8 slots = 512
 # logical processors).
 #
-# The build must be a Release build: the script refuses any other
-# CMAKE_BUILD_TYPE (scaling numbers from debug-ish builds are not
-# comparable). It stamps the JSON context with the build type, git
-# sha, compiler and CPU count (smtsim_* keys,
-# scripts/bench_common.sh) and checks the stamp with
-# scripts/check_bench_json.py.
+# Release builds only; the JSON is stamped with the build type, git
+# sha, compiler and CPU count and checked (bench_run,
+# scripts/bench_common.sh).
 #
 # Also guards the parallel-host promise (check_bench_json.py
 # --mc-eff): on the 16-core machine the 4-host-thread row must reach
@@ -26,27 +23,6 @@
 #                          (default 0.3); set to "skip" to disable
 set -eu
 
-build=${1:-build}
-out=${2:-BENCH_manycore.json}
-min_time=${SMTSIM_BENCH_MIN_TIME:-0.5}
-
-if [ ! -x "$build/bench/bench_manycore" ]; then
-    echo "bench_manycore not built in $build (cmake --build $build)" >&2
-    exit 1
-fi
-
 . "$(dirname "$0")/bench_common.sh"
-bench_require_release "$build" "many-core scaling" bench_manycore
-
-"$build/bench/bench_manycore" \
-    --benchmark_min_time="$min_time" \
-    --benchmark_out="$out" \
-    --benchmark_out_format=json \
-    --benchmark_context="$(bench_context "$build")"
-
-# The context we just asked for must actually be in the artifact, so
-# downstream consumers can trust any BENCH_manycore.json handed to
-# them; the checker also applies the parallel-efficiency floor.
-python3 "$(dirname "$0")/check_bench_json.py" --mc-eff "$out"
-
-echo "wrote $out" >&2
+bench_run "${1:-build}" bench_manycore "many-core scaling" \
+    "${2:-BENCH_manycore.json}" --mc-eff

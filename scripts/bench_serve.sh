@@ -19,11 +19,6 @@ set -eu
 build=${1:-build}
 out=${2:-BENCH_serve.json}
 
-if [ ! -x "$build/bench/bench_serve" ]; then
-    echo "bench_serve not built in $build (cmake --build $build)" >&2
-    exit 1
-fi
-
 . "$(dirname "$0")/bench_common.sh"
 bench_require_release "$build" "service latency" bench_serve
 

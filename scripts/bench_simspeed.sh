@@ -3,11 +3,8 @@
 # BENCH_simspeed.json (google-benchmark JSON, incl. cycles/s and
 # MIPS counters per engine config).
 #
-# The build must be a Release build: the script refuses any other
-# CMAKE_BUILD_TYPE (numbers from debug-ish builds are not
-# comparable and must never land in BENCH_simspeed.json). It stamps
-# the JSON context with the build type, git sha, compiler and CPU
-# count (smtsim_* keys, scripts/bench_common.sh).
+# Release builds only; the JSON is stamped with the build type, git
+# sha, compiler and CPU count (bench_run, scripts/bench_common.sh).
 #
 # scripts/check_bench_json.py checks the stamp and two perf
 # promises, each a ratio of two rows from the same run:
@@ -33,31 +30,11 @@
 set -eu
 
 build=${1:-build}
-out=${2:-BENCH_simspeed.json}
-min_time=${SMTSIM_BENCH_MIN_TIME:-0.5}
-check="$(dirname "$0")/check_bench_json.py"
-
-if [ ! -x "$build/bench/bench_simspeed" ]; then
-    echo "bench_simspeed not built in $build (cmake --build $build)" >&2
-    exit 1
-fi
 
 . "$(dirname "$0")/bench_common.sh"
-bench_require_release "$build" "simulator-throughput" bench_simspeed
-
-"$build/bench/bench_simspeed" \
-    --benchmark_min_time="$min_time" \
-    --benchmark_out="$out" \
-    --benchmark_out_format=json \
-    --benchmark_context="$(bench_context "$build")"
-
-# Belt and braces: the context we just asked for must actually be in
-# the artifact, so downstream consumers (EXPERIMENTS.md, CI diffs)
-# can trust any BENCH_simspeed.json they are handed. The chunk-loop
-# floor compares two rows of the same artifact.
-python3 "$check" --fast-floor "$out"
-
-echo "wrote $out" >&2
+# The chunk-loop floor compares two rows of the same artifact.
+bench_run "$build" bench_simspeed simulator-throughput \
+    "${2:-BENCH_simspeed.json}" --fast-floor
 
 if [ "${SMTSIM_BENCH_TRACE_PCT:-2}" = "skip" ]; then
     echo "tracing-overhead guard skipped" >&2
@@ -79,4 +56,4 @@ trap 'rm -f "$guard_json"' EXIT
     --benchmark_out_format=json \
     --benchmark_context="$(bench_context "$build")" >/dev/null
 
-python3 "$check" --trace-guard "$guard_json"
+python3 "$(dirname "$0")/check_bench_json.py" --trace-guard "$guard_json"

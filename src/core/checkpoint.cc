@@ -9,11 +9,14 @@
  * against an unsnapshotted run).
  *
  * One transfer function writes and reads the format, so the byte
- * layout is its field order (docs/OBSERVABILITY.md). Restore checks
- * every field the run loop indexes with: slots, frames, the
- * priority ring and every in-flight instruction must be ones this
- * program and configuration could have produced. Bump
- * kCheckpointVersion on any layout change.
+ * layout is its field order (docs/OBSERVABILITY.md). Only primary
+ * state is written: restore rebuilds the derived fields (slot class
+ * masks, in-flight fetch flags, queue link reservations) and then
+ * requires checkInvariants() to pass. Restore also checks every
+ * field the run loop indexes with: slots, frames, the priority ring
+ * and every in-flight instruction must be ones this program and
+ * configuration could have produced. Bump kCheckpointVersion on any
+ * layout change.
  */
 
 #include <map>
@@ -33,7 +36,7 @@ namespace
 
 /** "SMTCKPT1" read as a little-endian u64. */
 constexpr std::uint64_t kCheckpointMagic = 0x3154504b43544d53ull;
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * The memory image, as pages keyed by byte base address: sorted, so
@@ -146,8 +149,7 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
     ar.expect(kCheckpointVersion, "checkpoint version");
     ar.expect(cpu.checkpointFingerprint(),
               "checkpoint fingerprint (program/config mismatch)");
-    Cycle header_now = cpu.now_;    // peekable without parsing
-    ar("now", header_now);
+    ar("now", cpu.now_);    // in the header: readable without parsing
 
     ar.shape("context-frame", cpu.contexts_, [&](auto &ctx) {
         ar("state", wire<std::uint8_t>(ctx.state, CtxState::Finished));
@@ -176,7 +178,6 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         ar("trap_pending", slot.trap_pending);
         ar("iqueue", slot.iqueue);
         ar("fetch_addr", slot.fetch_addr);
-        ar("fetch_inflight", slot.fetch_inflight);
         ar.list("window", slot.window, [&](auto &e) {
             Insn insn = e.op != nullptr ? e.op->insn : Insn{};
             ar("insn", insn);
@@ -188,10 +189,6 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         ar("d2_allowed", slot.d2_allowed);
         // Integer then FP scoreboard, the flat array's own order.
         ar("sb", slot.sb);
-        ar("ungranted_total", slot.ungranted_total);
-        ar("ungranted_class", slot.ungranted_class);
-        ar("ungranted_mem", slot.ungranted_mem);
-        ar("queue_push_pending", slot.queue_push_pending);
         ar("wb_ring", slot.wb_ring);
         // Sleeping is not state: the restored slot simply makes its
         // next decode attempt, which the restored counters already
@@ -244,7 +241,6 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
        wire<std::uint8_t>(cpu.rotation_mode_, RotationMode::Explicit));
     ar("rotation_interval", cpu.rotation_interval_);
     ar("last_activity", cpu.last_activity_);
-    ar("now", cpu.now_);
     ar("finished", cpu.finished_);
     ar.list("ready frame", cpu.ready_fifo_, [&](auto &frame) {
         ar("frame", frame);
@@ -295,6 +291,9 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
 {
     LoadArchive ar(is, "checkpoint");
     transfer(ar, *this);
+    rebuildDerived();
+    if (const std::string why = checkInvariants(); !why.empty())
+        throw std::runtime_error("checkpoint: " + why);
     // An attached event stream must be self-contained from here on.
     snapshot_pending_ = sink_ != nullptr;
     grants_scratch_.clear();

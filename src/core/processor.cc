@@ -440,7 +440,6 @@ MultithreadedProcessor::cancelFetches(int slot_id)
             ++it;
         }
     }
-    slots_[slot_id].fetch_inflight = false;
     if (removed) {
         Cycle free_at = 0;
         for (const FetchOp &op : port.inflight)
@@ -470,7 +469,6 @@ MultithreadedProcessor::scheduleRedirect(int slot_id, Addr target,
     const Cycle miss_delay = icacheDelay(target, op.words);
     op.done_at = s + cache + miss_delay;
     port.inflight.push_back(op);
-    slots_[slot_id].fetch_inflight = true;
     port.free_at = s + cache + miss_delay;
     // Subsequent sequential refills continue past this block.
     slots_[slot_id].fetch_addr =
@@ -521,12 +519,13 @@ MultithreadedProcessor::fetchPhase(Cycle c)
                         it->addr + static_cast<Addr>(n) * kInsnBytes;
                 }
             }
-            slots_[it->slot].fetch_inflight = false;
             it = port.inflight.erase(it);
         }
 
         // Start a new fetch if the port is idle: a private port
         // serves its own slot, the shared one every slot round-robin.
+        // An idle port has delivered every fetch (its free_at is the
+        // latest done_at), so no slot has one in flight.
         if (port.free_at > c)
             continue;
         const int num_slots = cfg_.num_slots;
@@ -536,8 +535,7 @@ MultithreadedProcessor::fetchPhase(Cycle c)
              ++k, s = s + 1 < num_slots ? s + 1 : 0) {
             Slot &slot = slots_[s];
             if (slot.frame < 0 || slot.trap_pending ||
-                slot.fetch_inflight || slot.iqueue.space() <= 0 ||
-                slot.fetch_addr >= end) {
+                slot.iqueue.space() <= 0 || slot.fetch_addr >= end) {
                 continue;
             }
 
@@ -555,7 +553,6 @@ MultithreadedProcessor::fetchPhase(Cycle c)
             slot.fetch_addr +=
                 static_cast<Addr>(op.words) * kInsnBytes;
             port.inflight.push_back(op);
-            slot.fetch_inflight = true;
             port.free_at = op.done_at;
             port.rr_next = (s + 1) % num_slots;
             break;
@@ -590,10 +587,6 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
     slot.iqueue.clear();
     slot.window.clear();
     slot.sb.fill(0);
-    slot.ungranted_total = 0;
-    slot.ungranted_class.fill(0);
-    slot.ungranted_mem = 0;
-    slot.queue_push_pending = 0;
     slot.wb_ring.fill({});
 
     ctx.state = CtxState::Running;
@@ -648,21 +641,17 @@ MultithreadedProcessor::nextUnissuedPc(int slot_id) const
     // fetch_addr has already advanced past any in-flight fetch
     // block; resuming there would skip the block's instructions
     // once the switch-out cancels the fetch.
-    if (slot.fetch_inflight) {
-        const FetchPort &port =
-            ports_[cfg_.private_icache ? slot_id : 0];
-        for (const FetchOp &op : port.inflight) {
-            if (op.slot == slot_id)
-                return op.addr;
-        }
+    for (const FetchOp &op :
+         ports_[cfg_.private_icache ? slot_id : 0].inflight) {
+        if (op.slot == slot_id)
+            return op.addr;
     }
     return slot.fetch_addr;
 }
 
 void
-MultithreadedProcessor::killOtherThreads(int killer_slot, Cycle c)
+MultithreadedProcessor::killOtherThreads(int killer_slot)
 {
-    (void)c;
     const int killer_frame = slots_[killer_slot].frame;
     for (int f = 0; f < cfg_.frames(); ++f) {
         Context &ctx = contexts_[f];
@@ -677,17 +666,12 @@ MultithreadedProcessor::killOtherThreads(int killer_slot, Cycle c)
             continue;
         for (ScheduleUnit &su : sched_units_)
             su.flushSlot(s);
-        Slot &slot = slots_[s];
-        slot.ungranted_total = 0;
-        slot.ungranted_class.fill(0);
-        slot.ungranted_mem = 0;
-        slot.queue_push_pending = 0;
+        slots_[s].ungranted = 0;
         unbindSlot(s);
     }
     // Kill-threads resets the queue-register network.
     ring_regs_.clear();
     pending_pushes_.clear();
-    slots_[killer_slot].queue_push_pending = 0;
     ready_fifo_.clear();
     if (sink_) {
         for (int l = 0; l < ring_regs_.numLinks(); ++l) {
@@ -799,10 +783,7 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
 
     if (slot.wake_on_grant)
         wakeSlot(slot);
-    --slot.ungranted_total;
-    --slot.ungranted_class[cls];
-    if (op.insn.isMem())
-        --slot.ungranted_mem;
+    slot.ungranted &= static_cast<std::uint8_t>(~(1u << cls));
 
     ++stats_.fu_grants[cls];
     stats_.fu_busy[cls] += meta.issue_latency;
@@ -911,7 +892,6 @@ MultithreadedProcessor::schedulePhase(Cycle c)
          it != pending_pushes_.end();) {
         if (it->at <= c) {
             ring_regs_.push(it->slot, it->value);
-            --slots_[it->slot].queue_push_pending;
             if (sink_) {
                 obs::Event ev;
                 ev.cycle = c;
@@ -959,25 +939,16 @@ MultithreadedProcessor::contextPhase(Cycle c)
     for (int s = 0; s < cfg_.num_slots; ++s) {
         Slot &slot = slots_[s];
         if (slot.frame >= 0 && slot.trap_pending &&
-            slot.ungranted_total == 0) {
+            slot.ungranted == 0) {
             unbindSlot(s);
         }
     }
 
-    // Bind ready contexts to free slots, FIFO.
-    if (ready_fifo_.empty())
-        return;
-    for (int s = 0; s < cfg_.num_slots; ++s) {
+    // Bind ready contexts to free slots, FIFO (the FIFO holds
+    // exactly the Ready contexts; KILLT empties both).
+    for (int s = 0; s < cfg_.num_slots && !ready_fifo_.empty(); ++s) {
         if (slots_[s].frame >= 0)
             continue;
-        // Skip stale fifo entries (e.g. killed while queued).
-        while (!ready_fifo_.empty() &&
-               contexts_[ready_fifo_.front()].state !=
-                   CtxState::Ready) {
-            ready_fifo_.erase(ready_fifo_.begin());
-        }
-        if (ready_fifo_.empty())
-            break;
         const int frame = ready_fifo_.front();
         ready_fifo_.erase(ready_fifo_.begin());
         bindContext(frame, s, c);
@@ -1156,7 +1127,7 @@ MultithreadedProcessor::handleControl(int slot_id,
             throw ReplayDivergence("replay: KILLT is not "
                                    "replayable (timing-dependent "
                                    "kill point)");
-        killOtherThreads(slot_id, c);
+        killOtherThreads(slot_id);
         break;
       case Op::TID:
       case Op::NSLOT:
@@ -1254,7 +1225,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
     bool blocked = false;       // an older entry stays in the window
     bool mem_blocked = false;
     bool priority = false;      // consulted the priority ring
-    bool grant_dep = false;     // blocked by an ungranted-op count
+    bool grant_dep = false;     // blocked by the class mask
     std::uint64_t pending_reads = 0, pending_writes = 0;
     // Registers whose scoreboard entries decided this attempt.
     std::uint64_t watched = 0;
@@ -1279,7 +1250,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             // only once its issued instructions have executed, which
             // keeps priority stores of successive iterations in
             // order.
-            if (op.drains && slot.ungranted_total > 0) {
+            if (op.drains && slot.ungranted != 0) {
                 grant_dep = true;
                 break;
             }
@@ -1310,26 +1281,26 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             }
         }
 
+        // Every memory op is a load/store op, so this check also
+        // keeps a memory op behind an ungranted one.
         const int cls = static_cast<int>(op.fu);
         if (issuable) {
             if (cfg_.standby_enabled) {
-                if (slot.ungranted_class[cls] > 0) {
+                if (slot.ungranted & (1u << cls)) {
                     ++stalls[StallStandby];
                     issuable = false;
                     grant_dep = true;
                 }
-            } else if (slot.ungranted_total > 0) {
+            } else if (slot.ungranted != 0) {
                 ++stalls[StallNoStandby];
                 issuable = false;
                 grant_dep = true;
             }
         }
 
-        if (issuable && op.mem &&
-            (slot.ungranted_mem > 0 || mem_blocked)) {
+        if (issuable && op.mem && mem_blocked) {
             ++stalls[StallMemorder];
             issuable = false;
-            grant_dep |= slot.ungranted_mem > 0;
         }
 
         // Queue-register reads dequeue, so they must stay in program
@@ -1352,7 +1323,9 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             (op.dsts & mapMask(ctx.q_write_int, ctx.q_write_fp)) != 0;
         if (issuable) {
             if (queue_write) {
-                if (blocked || slot.queue_push_pending > 0 ||
+                // One write in flight per link keeps deposits in
+                // issue order.
+                if (blocked || ring_regs_.reserved(slot_id) > 0 ||
                     !ring_regs_.canReserve(slot_id)) {
                     ++stalls[StallQueueFull];
                     issuable = false;
@@ -1385,12 +1358,10 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
         issued.arrive = c + 1;
         issued.queue_write = queue_write;
 
-        if (queue_write) {
+        if (queue_write)
             ring_regs_.reserve(slot_id);
-            ++slot.queue_push_pending;
-        } else if (op.dsts) {
+        else if (op.dsts)
             slot.sb[flatReg(op.dst)] = kNeverCycle;
-        }
         if (sink_) {
             obs::Event ev;
             ev.cycle = c;
@@ -1402,10 +1373,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             sink_->event(ev);
         }
         sched_units_[cls].submit(std::move(issued));
-        ++slot.ungranted_total;
-        ++slot.ungranted_class[cls];
-        if (op.mem)
-            ++slot.ungranted_mem;
+        slot.ungranted |= static_cast<std::uint8_t>(1u << cls);
         ++issues;
     }
     for (; i < n; ++i)
@@ -1416,8 +1384,9 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
 
     // A fruitless attempt changed nothing, so the next one repeats
     // it exactly until an input changes: a watched scoreboard entry
-    // clears or is written by a grant, an ungranted-op count drops
-    // (grant_dep), or the window is flushed, refilled or rebound.
+    // clears or is written by a grant, a grant clears a class-mask
+    // bit (grant_dep), or the window is flushed, refilled or
+    // rebound.
     // Queue mappings and the priority ring change without such an
     // event; slots reading them stay awake.
     if (issues > 0 || !cfg_.fast_forward || priority || mapped)
@@ -1511,41 +1480,10 @@ MultithreadedProcessor::allDone() const
         }
     }
     for (const Slot &slot : slots_) {
-        if (slot.frame >= 0 && slot.ungranted_total > 0)
+        if (slot.frame >= 0 && slot.ungranted != 0)
             return false;
     }
     return true;
-}
-
-void
-MultithreadedProcessor::dumpState(std::ostream &os) const
-{
-    os << "cycle " << now_ << " ring:";
-    for (int s : ring_)
-        os << ' ' << s;
-    os << '\n';
-    for (int s = 0; s < cfg_.num_slots; ++s) {
-        const Slot &slot = slots_[s];
-        os << "slot " << s << ": frame=" << slot.frame
-           << " trap=" << slot.trap_pending
-           << " iq=" << slot.iqueue.size()
-           << " win=" << slot.window.size()
-           << " ungranted=" << slot.ungranted_total
-           << " qpush=" << slot.queue_push_pending
-           << " d2_allowed=" << slot.d2_allowed;
-        if (!slot.window.empty()) {
-            os << " front='"
-               << disassemble(slot.window.front().op->insn) << "' @"
-               << slot.window.front().pc;
-        }
-        os << '\n';
-    }
-    for (size_t f = 0; f < contexts_.size(); ++f) {
-        const Context &ctx = contexts_[f];
-        os << "ctx " << f << ": state="
-           << static_cast<int>(ctx.state)
-           << " resume=" << ctx.resume_pc << '\n';
-    }
 }
 
 // ---------------------------------------------------------------
@@ -1573,13 +1511,14 @@ MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
         }
         if (slot.trap_pending) {
             // A drained switch-out unbinds in the next contextPhase.
-            if (slot.ungranted_total == 0)
+            if (slot.ungranted == 0)
                 return c + 1;
             continue;   // remaining drain comes via grant events
         }
-        // A new fetch starts once this slot's port is idle.
-        if (!slot.fetch_inflight && slot.iqueue.space() > 0 &&
-            slot.fetch_addr < end) {
+        // A new fetch starts once this slot's port is idle (a slot
+        // with a fetch in flight adds no earlier event: the port is
+        // busy until that fetch lands).
+        if (slot.iqueue.space() > 0 && slot.fetch_addr < end) {
             const FetchPort &port =
                 ports_[cfg_.private_icache ? s : 0];
             ev = std::min(ev, std::max(c + 1, port.free_at));

@@ -29,6 +29,7 @@
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "asmr/program.hh"
@@ -98,8 +99,14 @@ class MultithreadedProcessor
     /** Detailed counters (stall breakdown etc.). */
     const stats::Group &detail() const { return detail_; }
 
-    /** Dump slot/context/queue state (debugging aid). */
-    void dumpState(std::ostream &os) const;
+    /**
+     * The core's state invariants, which hold between any two
+     * cycles (docs/OBSERVABILITY.md lists them): every derived field
+     * equals its recomputation from the primary state, and the
+     * primary state is one a run can reach. Returns the first
+     * violation, naming its slot, frame, class or link, or "".
+     */
+    std::string checkInvariants() const;
 
     /**
      * Attach a structured event sink (issue, grant, park, branch,
@@ -127,9 +134,11 @@ class MultithreadedProcessor
      * configuration (validated via a fingerprint; throws
      * std::runtime_error on mismatch or corruption, including any
      * slot, frame or in-flight instruction the program and
-     * configuration could not have produced). The backing memory is
-     * replaced by the checkpointed image. After a throw the
-     * processor is half restored and must not be run.
+     * configuration could not have produced, and any state
+     * checkInvariants() rejects). The derived fields are rebuilt,
+     * not read. The backing memory is replaced by the checkpointed
+     * image. After a throw the processor is half restored and must
+     * not be run.
      */
     void restoreCheckpoint(std::istream &is);
 
@@ -359,8 +368,8 @@ class MultithreadedProcessor
          * them until they are credited to the counters in bulk.
          */
         bool asleep = false;
-        /** The attempt was blocked by an ungranted-op count, which
-         *  any own grant lowers. */
+        /** The attempt was blocked by the class mask, which any own
+         *  grant changes. */
         bool wake_on_grant = false;
         Cycle wake_at = 0;
         /** Scoreboard entries (flatReg() bits) the attempt read. */
@@ -370,9 +379,6 @@ class MultithreadedProcessor
 
         InsnQueue iqueue;           ///< instruction queue unit
         Addr fetch_addr = 0;        ///< next address to fetch
-        /** A FetchOp for this slot is in flight (at most one ever
-         *  is; spares fetchPhase an O(inflight) scan per port). */
-        bool fetch_inflight = false;
         std::vector<WindowEntry> window;
         Cycle d2_allowed = 0;       ///< front-end refill bubble
 
@@ -381,11 +387,10 @@ class MultithreadedProcessor
          *  while the producing instruction waits to be granted. */
         std::array<Cycle, 2 * kNumRegs> sb{};
 
-        int ungranted_total = 0;
-        std::array<int, kNumFuClasses> ungranted_class{};
-        int ungranted_mem = 0;
-        /** Queue-register writes reserved but not yet deposited. */
-        int queue_push_pending = 0;
+        /** Bit c is set while schedule unit c holds an op of this
+         *  slot, incoming or in standby (at most one: the station
+         *  is depth 1). Derived: restore rebuilds it. */
+        std::uint8_t ungranted = 0;
 
         /** One {clear-cycle, count} bin of the write-back conflict
          *  tracker (each bank has one write port). */
@@ -438,6 +443,21 @@ class MultithreadedProcessor
         int slot = -1;
         std::uint64_t value = 0;
     };
+
+    /** Recomputed from the primary state (core/invariants.cc): the
+     *  derived fields — per slot its class mask, per link its
+     *  reservations (pending pushes plus ungranted queue writes) —
+     *  and per slot its fetches in flight. */
+    struct Derived
+    {
+        std::vector<std::uint8_t> ungranted;
+        std::vector<int> fetches;
+        std::vector<int> reserved;
+    };
+    Derived derive() const;
+    /** Restore: set the derived fields from derive(), reserving a
+     *  link no further than its depth. */
+    void rebuildDerived();
 
     // ----- per-phase helpers --------------------------------------
     void fetchPhase(Cycle c);
@@ -512,7 +532,7 @@ class MultithreadedProcessor
     void bindContext(int frame, int slot_id, Cycle c);
     void unbindSlot(int slot_id);
     void flushFrontEnd(int slot_id);
-    void killOtherThreads(int killer_slot, Cycle c);
+    void killOtherThreads(int killer_slot);
     Addr nextUnissuedPc(int slot_id) const;
 
     // fetch helpers

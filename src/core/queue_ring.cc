@@ -72,14 +72,6 @@ QueueRing::push(int producer_slot, std::uint64_t value)
 }
 
 void
-QueueRing::unreserve(int producer_slot)
-{
-    Link &link = links_[producer_slot];
-    SMTSIM_ASSERT(link.reserved > 0, "unreserve without reservation");
-    --link.reserved;
-}
-
-void
 QueueRing::clear()
 {
     for (Link &link : links_) {
@@ -94,12 +86,11 @@ QueueRing::transfer(Ar &ar, Self &ring)
 {
     ar.shape("queue link", ring.links_, [&](auto &link) {
         ar("fifo", link.fifo);
-        ar("reserved", link.reserved);
-        ar.check(link.reserved >= 0 &&
-                     link.fifo.size() + static_cast<std::size_t>(
-                                            link.reserved) <=
-                         static_cast<std::size_t>(ring.depth_),
+        ar.check(link.fifo.size() <=
+                     static_cast<std::size_t>(ring.depth_),
                  "queue link over its depth");
+        if constexpr (Ar::kLoading)
+            link.reserved = 0;
     });
 }
 

@@ -43,8 +43,12 @@ class QueueRing
     /** Deposit a value, consuming one reservation (at write-back). */
     void push(int producer_slot, std::uint64_t value);
 
-    /** Drop one reservation without pushing (flush of a writer). */
-    void unreserve(int producer_slot);
+    /** Reservations on the producer's link not yet deposited. */
+    int
+    reserved(int producer_slot) const
+    {
+        return links_[producer_slot].reserved;
+    }
 
     /** Empty all links and reservations (kill-threads semantics). */
     void clear();
@@ -61,9 +65,11 @@ class QueueRing
         return static_cast<int>(links_[link].fifo.size());
     }
 
-    /** Checkpoint transfer (base/serial.hh), either direction. A
-     *  reader rejects a link count that differs from this ring's
-     *  and a link holding more than its depth. */
+    /** Checkpoint transfer (base/serial.hh), either direction: the
+     *  values on each link. Reservations are not part of it; a
+     *  reader clears them for the processor to rebuild, and rejects
+     *  a link count that differs from this ring's and a link
+     *  holding more than its depth. */
     template <class Ar, class Self>
     static void transfer(Ar &ar, Self &ring);
 

@@ -100,8 +100,8 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
     updateNextEvent();
 }
 
-void
-ScheduleUnit::updateNextEvent()
+Cycle
+ScheduleUnit::computeNextEvent() const
 {
     Cycle ev = kNeverCycle;
     if (standby_occupied_ > 0) {
@@ -115,7 +115,15 @@ ScheduleUnit::updateNextEvent()
     // Arrival latches an instruction into its standby station.
     for (const IssuedOp &op : incoming_)
         ev = std::min(ev, op.arrive);
-    next_event_ = ev;
+    return ev;
+}
+
+int
+ScheduleUnit::countOccupied() const
+{
+    return static_cast<int>(
+        std::count_if(standby_.begin(), standby_.end(),
+                      [](const auto &op) { return op.has_value(); }));
 }
 
 void
@@ -177,9 +185,7 @@ ScheduleUnit::transfer(Ar &ar, Self &su, const PredecodedText &text)
     });
     ar.list("incoming op", su.incoming_, issued);
     if constexpr (Ar::kLoading) {
-        su.standby_occupied_ = static_cast<int>(
-            std::count_if(su.standby_.begin(), su.standby_.end(),
-                          [](const auto &op) { return op.has_value(); }));
+        su.standby_occupied_ = su.countOccupied();
         su.updateNextEvent();
     }
 }

@@ -107,7 +107,29 @@ class ScheduleUnit
     /** Discard any waiting instruction of @p slot (thread killed). */
     void flushSlot(int slot);
 
-    int numUnits() const { return static_cast<int>(units_.size()); }
+    /** Call @p f on every instruction waiting here, in standby or
+     *  incoming. */
+    template <class F>
+    void
+    forEachOp(F f) const
+    {
+        for (const std::optional<IssuedOp> &op : standby_) {
+            if (op)
+                f(*op);
+        }
+        for (const IssuedOp &op : incoming_)
+            f(op);
+    }
+
+    /** Do the occupied-station count and nextEventCycle() agree
+     *  with the contents? */
+    bool
+    consistent() const
+    {
+        return standby_occupied_ == countOccupied() &&
+               next_event_ == computeNextEvent();
+    }
+
     FuClass fuClass() const { return cls_; }
 
     /** Attach/detach the event sink (Park events from select()). */
@@ -136,13 +158,16 @@ class ScheduleUnit
     std::vector<std::optional<IssuedOp>> standby_;
     /** Count of occupied standby stations. */
     int standby_occupied_ = 0;
+    /** standby_occupied_ recounted from the stations. */
+    int countOccupied() const;
     /** Instructions issued this cycle, arriving at S next cycle. */
     std::vector<IssuedOp> incoming_;
     /** nextEventCycle()'s value. */
     Cycle next_event_ = kNeverCycle;
 
-    /** Recompute next_event_ from the units and stations. */
-    void updateNextEvent();
+    /** nextEventCycle() recomputed from the units and stations. */
+    Cycle computeNextEvent() const;
+    void updateNextEvent() { next_event_ = computeNextEvent(); }
 };
 
 } // namespace smtsim

@@ -85,20 +85,25 @@ simulateJob(const Job &job, double timeout_seconds,
     return r;
 }
 
+void
+clampCycles(std::vector<Job> &jobs, std::uint64_t max_cycles)
+{
+    if (max_cycles == 0)
+        return;
+    for (Job &job : jobs) {
+        job.core.max_cycles = std::min(job.core.max_cycles, max_cycles);
+        job.baseline.max_cycles =
+            std::min(job.baseline.max_cycles, max_cycles);
+    }
+}
+
 ResultSet
 runJobs(const std::vector<Job> &jobs, const LabOptions &opts)
 {
     // Apply the sweep-wide cycle clamp up front so cache keys see
     // the configuration that actually runs.
     std::vector<Job> prepared = jobs;
-    if (opts.max_cycles > 0) {
-        for (Job &job : prepared) {
-            job.core.max_cycles =
-                std::min(job.core.max_cycles, opts.max_cycles);
-            job.baseline.max_cycles =
-                std::min(job.baseline.max_cycles, opts.max_cycles);
-        }
-    }
+    clampCycles(prepared, opts.max_cycles);
 
     const std::size_t n = prepared.size();
     ResultSet rs;

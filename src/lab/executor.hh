@@ -105,6 +105,11 @@ struct LabOptions
 JobResult simulateJob(const Job &job, double timeout_seconds = 0.0,
                       int machine_host_threads = 0);
 
+/** Apply a sweep-wide cycle budget (LabOptions::max_cycles; 0 =
+ *  keep each job's own) to @p jobs, as runJobs() does before cache
+ *  keying. */
+void clampCycles(std::vector<Job> &jobs, std::uint64_t max_cycles);
+
 /** Run a pre-expanded job list (ExperimentSpec::expand()). */
 ResultSet runJobs(const std::vector<Job> &jobs,
                   const LabOptions &opts = {});

@@ -1,5 +1,8 @@
 #include "result.hh"
 
+#include <cstdio>
+#include <fstream>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -157,6 +160,22 @@ ResultSet::toTable(const std::string &title) const
                       r.from_cache ? "cache" : "sim"});
     }
     return table;
+}
+
+void
+writeTextOutput(const std::string &path, const std::string &text,
+                const char *what)
+{
+    if (path == "-") {
+        std::cout << text;
+        return;
+    }
+    std::ofstream out(path);
+    if (!out)
+        throw std::runtime_error("cannot open " + path +
+                                 " for writing");
+    out << text;
+    std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
 }
 
 } // namespace smtsim::lab

@@ -73,6 +73,12 @@ Json resultToJson(const JobResult &r);
  */
 JobResult resultFromJson(const Json &j);
 
+/** Write @p text to @p path ("-" = stdout), noting "<what> written
+ *  to <path>" on stderr; std::runtime_error if it cannot be opened.
+ *  The --json/--csv outputs of smtsim-sweep and smtsim-client. */
+void writeTextOutput(const std::string &path, const std::string &text,
+                     const char *what);
+
 } // namespace smtsim::lab
 
 #endif // SMTSIM_LAB_RESULT_HH

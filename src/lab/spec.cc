@@ -1,5 +1,6 @@
 #include "spec.hh"
 
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -549,6 +550,69 @@ ExperimentSpec::expand() const
         }
     }
     return jobs;
+}
+
+std::vector<int>
+parseIntList(const std::string &flag, const std::string &text,
+             int min_value)
+{
+    std::vector<int> out;
+    for (const std::string &item : split(text, ',')) {
+        long long v = 0;
+        if (!parseInt(item, &v))
+            throw std::invalid_argument(flag + ": \"" + trim(item) +
+                                        "\" is not an integer");
+        if (v < min_value || v > std::numeric_limits<int>::max())
+            throw std::invalid_argument(
+                flag + ": value " + std::to_string(v) +
+                " is out of range (minimum " +
+                std::to_string(min_value) + ")");
+        out.push_back(static_cast<int>(v));
+    }
+    if (out.empty())
+        throw std::invalid_argument(flag + ": empty list");
+    return out;
+}
+
+bool
+setGridFlag(ExperimentSpec &spec, const std::string &flag,
+            const std::string &value)
+{
+    struct ListFlag
+    {
+        const char *name;
+        std::vector<int> ExperimentSpec::*axis;
+        int min_value;
+    };
+    static constexpr ListFlag kLists[] = {
+        {"--slots", &ExperimentSpec::slots, 1},
+        {"--frames", &ExperimentSpec::frames, -1},
+        {"--lsu", &ExperimentSpec::lsu, 1},
+        {"--width", &ExperimentSpec::widths, 1},
+        {"--interval", &ExperimentSpec::rotation_intervals, 1},
+    };
+    for (const ListFlag &f : kLists) {
+        if (flag == f.name) {
+            spec.*f.axis = parseIntList(flag, value, f.min_value);
+            return true;
+        }
+    }
+    if (flag == "--workload") {
+        try {
+            spec.workloads.push_back(WorkloadSpec::fromString(value));
+        } catch (const std::invalid_argument &e) {
+            throw std::invalid_argument(flag + ": " + e.what());
+        }
+    } else if (flag == "--standby") {
+        if (value != "on" && value != "off" && value != "both")
+            throw std::invalid_argument(flag +
+                                        " must be on, off or both");
+        spec.standby = value == "both" ? std::vector<bool>{false, true}
+                                       : std::vector<bool>{value == "on"};
+    } else {
+        return false;
+    }
+    return true;
 }
 
 } // namespace smtsim::lab

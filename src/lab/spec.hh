@@ -230,6 +230,22 @@ struct ExperimentSpec
     std::vector<Job> expand() const;
 };
 
+/** Parse the value of command-line flag @p flag, an integer list
+ *  ("1,2,4") of ints >= @p min_value; std::invalid_argument naming
+ *  the flag otherwise. */
+std::vector<int> parseIntList(const std::string &flag,
+                              const std::string &text, int min_value);
+
+/**
+ * The grid flags of smtsim-sweep and smtsim-client: set the
+ * ExperimentSpec member @p flag names from @p value (--workload
+ * appends; --slots, --frames, --lsu, --width, --interval take
+ * lists; --standby on|off|both). Returns false when @p flag is not
+ * one; throws std::invalid_argument naming it on a bad value.
+ */
+bool setGridFlag(ExperimentSpec &spec, const std::string &flag,
+                 const std::string &value);
+
 } // namespace smtsim::lab
 
 #endif // SMTSIM_LAB_SPEC_HH

@@ -18,7 +18,6 @@
 
 #include "asmr/assembler.hh"
 #include "core/processor.hh"
-#include "isa/op.hh"
 
 namespace smtsim::test
 {
@@ -85,9 +84,9 @@ walkCheckpoint(const std::string &blob)
         l.slot_frames.push_back(pos);
         skip(4 + 1);
         skip(4 * std::size_t{u32()});               // iqueue
-        skip(4 + 1);
+        skip(4);
         skip(14 * std::size_t{u32()});              // window
-        skip(8 + 64 * 8 + 4 + 4 * kNumFuClasses + 4 + 4 + 64 * 12);
+        skip(8 + 64 * 8 + 64 * 12);
     }
     for (std::uint32_t n = u32(); n > 0; --n) {     // fetch ports
         skip(8);
@@ -113,10 +112,8 @@ walkCheckpoint(const std::string &blob)
         }
     }
     l.queue_links = pos;
-    for (std::uint32_t n = u32(); n > 0; --n) {
+    for (std::uint32_t n = u32(); n > 0; --n)
         skip(8 * std::size_t{u32()});
-        skip(4);
-    }
     for (std::uint32_t n = u32(); n > 0; --n) {     // pending pushes
         skip(8);
         l.push_slots.push_back(pos);
@@ -126,7 +123,7 @@ walkCheckpoint(const std::string &blob)
         l.ring.push_back(pos);
         skip(4);
     }
-    skip(1 + 1 + 4 + 8 + 8 + 1);
+    skip(1 + 1 + 4 + 8 + 1);
     for (std::uint32_t n = u32(); n > 0; --n) {     // ready FIFO
         l.ready_frames.push_back(pos);
         skip(4);

@@ -418,6 +418,24 @@ TEST(Checkpoint, FuzzedProgramsResumeBitIdentically)
         if (seed % 7 == 0)
             cfg.rotation_mode = RotationMode::Explicit;
 
+        // The invariants hold at every stop, with and without
+        // fast-forward (whose sleeping slots they cover too).
+        for (const bool ff : {false, true}) {
+            CoreConfig step_cfg = cfg;
+            step_cfg.fast_forward = ff;
+            MainMemory mem;
+            prog.loadInto(mem);
+            MultithreadedProcessor cpu(prog, mem, step_cfg);
+            for (Cycle stop = 64;; stop += 64) {
+                ASSERT_EQ(cpu.checkInvariants(), "")
+                    << "fuzz seed " << seed << " ff=" << ff << " @"
+                    << cpu.now();
+                if (cpu.finished() || cpu.now() >= cfg.max_cycles)
+                    break;
+                cpu.runUntil(stop);
+            }
+        }
+
         // Pick the snapshot cycle from the run's actual length so
         // it always lands mid-run (deterministic per seed).
         MainMemory probe_mem;
@@ -445,7 +463,8 @@ TEST(Checkpoint, FuzzedProgramsResumeBitIdentically)
 
 // ----------------------------------------------------------------
 // Hostile blobs: restore must reject every field the run loop
-// indexes with, instead of accepting it and crashing later.
+// indexes with, and every state checkInvariants() rejects, instead
+// of accepting it and crashing or hanging later.
 // ----------------------------------------------------------------
 
 namespace
@@ -503,6 +522,66 @@ TEST(CheckpointHostile, ValidBlobIsAccepted)
     const Doctor d;
     ASSERT_FALSE(d.blob.empty());
     EXPECT_EQ(d.restore(d.blob), "accepted");
+}
+
+TEST(CheckpointHostile, Version1BlobIsRejectedByVersion)
+{
+    const Doctor d;
+    d.expectRejected(8, 1, "bad checkpoint version (got 1, want 2)");
+}
+
+TEST(CheckpointHostile, TwoSlotsBoundToOneFrame)
+{
+    const Doctor d;
+    d.expectRejected(d.layout.slot_frames.at(1), 0,
+                     "frame 0: running on 2 slots");
+}
+
+TEST(CheckpointHostile, BusySlotWithoutAFrame)
+{
+    const Doctor d;
+    ASSERT_EQ(d.layout.slot_frames.size(), 4u);
+    for (std::size_t s = 0; s < 4; ++s) {
+        d.expectRejected(d.layout.slot_frames[s], 0xffffffff,
+                         "slot " + std::to_string(s) +
+                             ": unbound but holds in-flight work");
+    }
+}
+
+TEST(CheckpointHostile, PendingPushMovedToAnotherSlot)
+{
+    // Restore derives each link's reservations from the pending
+    // pushes, so a moved push reserves its new link: either that
+    // link then breaks an invariant and restore rejects the blob,
+    // or the run goes on without a panic (finished or not).
+    const Doctor d;
+    ASSERT_FALSE(d.layout.push_slots.empty());
+    int runs = 0;
+    for (const std::size_t at : d.layout.push_slots) {
+        const auto own = static_cast<std::uint32_t>(
+            static_cast<unsigned char>(d.blob.at(at)));
+        for (std::uint32_t s = 0; s < 4; ++s) {
+            if (s == own)
+                continue;
+            std::string bad = d.blob;
+            test::pokeU32(bad, at, s);
+            MainMemory mem;
+            MultithreadedProcessor cpu(d.prog, mem, d.cfg);
+            std::istringstream is(bad);
+            try {
+                cpu.restoreCheckpoint(is);
+            } catch (const std::runtime_error &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "queue link " + std::to_string(s)),
+                          std::string::npos)
+                    << e.what();
+                continue;
+            }
+            EXPECT_NO_THROW(cpu.run()) << "push moved to slot " << s;
+            ++runs;
+        }
+    }
+    EXPECT_GT(runs, 0);
 }
 
 TEST(CheckpointHostile, SlotFrameOutOfRange)

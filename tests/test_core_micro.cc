@@ -182,27 +182,6 @@ main:   fastfork
     EXPECT_EQ(s.instructions, 4u + 3u * 3u);
 }
 
-TEST(CoreDebug, DumpStateIsWellFormed)
-{
-    Machine m(R"(
-main:   li   r1, 4
-loop:   addi r1, r1, -1
-        bgtz r1, loop
-        halt
-)");
-    CoreConfig cfg;
-    cfg.num_slots = 2;
-    cfg.max_cycles = 10;    // stop mid-flight
-    MultithreadedProcessor cpu(m.prog, m.mem, cfg);
-    cpu.run();
-    std::ostringstream oss;
-    cpu.dumpState(oss);
-    const std::string dump = oss.str();
-    EXPECT_NE(dump.find("ring:"), std::string::npos);
-    EXPECT_NE(dump.find("slot 0:"), std::string::npos);
-    EXPECT_NE(dump.find("ctx 0:"), std::string::npos);
-}
-
 // ----------------------------------------------------------------
 // Fetch engine corner cases
 // ----------------------------------------------------------------

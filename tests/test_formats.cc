@@ -134,8 +134,8 @@ TEST(FormatPin, CoreCheckpointMidQueueTraffic)
         test::checkpointMidTraffic(test::queueTrafficProgram(), cfg, &at);
     ASSERT_FALSE(blob.empty()) << "no cycle with all three in flight";
     EXPECT_EQ(at, 18u);
-    EXPECT_EQ(blob.size(), 73822u);
-    EXPECT_EQ(hex(blob), "ecae18f8c9dce58c");
+    EXPECT_EQ(blob.size(), 73618u);
+    EXPECT_EQ(hex(blob), "c74d113dacea68ac");
 }
 
 TEST(FormatPin, MachineCheckpointMidRun)
@@ -150,8 +150,8 @@ TEST(FormatPin, MachineCheckpointMidRun)
     ASSERT_FALSE(m.finished());
     std::ostringstream os;
     m.saveCheckpoint(os);
-    EXPECT_EQ(os.str().size(), 271360u);
-    EXPECT_EQ(hex(os.str()), "a0f5c1f5accccf7d");
+    EXPECT_EQ(os.str().size(), 271148u);
+    EXPECT_EQ(hex(os.str()), "118093bfcae9bfb9");
 }
 
 TEST(FormatPin, ProgramImage)

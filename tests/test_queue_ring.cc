@@ -56,15 +56,6 @@ TEST(QueueRing, DepthLimitsReservations)
     EXPECT_TRUE(ring.canReserve(0));
 }
 
-TEST(QueueRing, UnreserveReleasesSpace)
-{
-    QueueRing ring(2, 1);
-    ring.reserve(0);
-    EXPECT_FALSE(ring.canReserve(0));
-    ring.unreserve(0);
-    EXPECT_TRUE(ring.canReserve(0));
-}
-
 TEST(QueueRing, ClearEmptiesEverything)
 {
     QueueRing ring(2, 4);

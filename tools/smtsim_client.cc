@@ -12,16 +12,10 @@
  *                        raw stats JSON)
  *     --shutdown         ask the daemon to shut down cleanly
  *
- * Sweep description (same grammar as smtsim-sweep):
- *     --workload SPEC    workload, repeatable (default
- *                        raytrace:width=24,height=24)
+ * Sweep description: smtsim-sweep's grid flags --workload,
+ * --slots, --frames, --lsu, --width, --standby and --interval
+ * (lab::setGridFlag), and
  *     --engine core|both "both" adds a baseline point per workload
- *     --slots LIST       thread-slot counts (default 4)
- *     --frames LIST      context-frame counts; -1 = slots
- *     --lsu LIST         load/store unit counts
- *     --width LIST       per-slot issue widths
- *     --standby on|off|both
- *     --interval LIST    rotation intervals
  *
  * Submission:
  *     --id NAME          submission id echoed in events (default
@@ -39,7 +33,6 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -71,27 +64,6 @@ die(const std::string &msg)
 {
     std::fprintf(stderr, "smtsim-client: %s\n", msg.c_str());
     std::exit(2);
-}
-
-std::vector<int>
-parseIntList(const std::string &opt, const std::string &text,
-             int min_value)
-{
-    std::vector<int> out;
-    for (const std::string &item : split(text, ',')) {
-        long long v = 0;
-        if (!parseInt(item, &v))
-            die(opt + ": \"" + trim(item) +
-                "\" is not an integer");
-        if (v < min_value)
-            die(opt + ": value " + std::to_string(v) +
-                " is below the minimum " +
-                std::to_string(min_value));
-        out.push_back(static_cast<int>(v));
-    }
-    if (out.empty())
-        die(opt + ": empty list");
-    return out;
 }
 
 std::string
@@ -145,25 +117,8 @@ printStatsTables(const Json &stats, std::ostream &os)
     ht.print(os);
 }
 
-void
-writeTextOutput(const std::string &path, const std::string &text,
-                const char *what)
-{
-    if (path == "-") {
-        std::cout << text;
-        return;
-    }
-    std::ofstream out(path);
-    if (!out)
-        die(std::string("cannot open ") + path + " for writing");
-    out << text;
-    std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string socket_path;
     std::string op = "submit";
@@ -195,44 +150,18 @@ main(int argc, char **argv)
             if (!parseInt(need_value(i), &v) || v < 0)
                 die("--wait-ms needs a non-negative integer");
             wait_ms = v == 0 ? -1 : static_cast<int>(v);
-        } else if (arg == "--workload") {
-            try {
-                spec.workloads.push_back(
-                    WorkloadSpec::fromString(need_value(i)));
-            } catch (const std::exception &e) {
-                die(e.what());
-            }
         } else if (arg == "--engine") {
             engine = need_value(i);
             if (engine != "core" && engine != "both")
                 die("--engine must be core or both");
-        } else if (arg == "--slots") {
-            spec.slots = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--frames") {
-            spec.frames = parseIntList(arg, need_value(i), -1);
-        } else if (arg == "--lsu") {
-            spec.lsu = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--width") {
-            spec.widths = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--interval") {
-            spec.rotation_intervals =
-                parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--standby") {
-            const std::string v = need_value(i);
-            if (v == "on")
-                spec.standby = {true};
-            else if (v == "off")
-                spec.standby = {false};
-            else if (v == "both")
-                spec.standby = {false, true};
-            else
-                die("--standby must be on, off or both");
         } else if (arg == "--json") {
             json_path = need_value(i);
         } else if (arg == "--csv") {
             csv_path = need_value(i);
         } else if (arg == "--table") {
             want_table = true;
+        } else if (i + 1 < argc && setGridFlag(spec, arg, argv[i + 1])) {
+            ++i;
         } else {
             usage(argv[0]);
         }
@@ -299,4 +228,17 @@ main(int argc, char **argv)
                  out.jobs, out.failures, out.cache_hits,
                  out.coalesced);
     return out.failures == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad flag values and unwritable outputs end here, named.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        die(e.what());
+    }
 }

@@ -55,10 +55,7 @@
  * Exit status: 0 when every point succeeded, 1 otherwise.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -91,47 +88,8 @@ die(const std::string &msg)
     std::exit(2);
 }
 
-/** Parse a comma-separated integer list with a per-value floor. */
-std::vector<int>
-parseIntList(const std::string &opt, const std::string &text,
-             int min_value)
-{
-    std::vector<int> out;
-    for (const std::string &item : split(text, ',')) {
-        long long v = 0;
-        if (!parseInt(item, &v))
-            die(opt + ": \"" + trim(item) +
-                "\" is not an integer");
-        if (v < min_value)
-            die(opt + ": value " + std::to_string(v) +
-                " is below the minimum " +
-                std::to_string(min_value));
-        out.push_back(static_cast<int>(v));
-    }
-    if (out.empty())
-        die(opt + ": empty list");
-    return out;
-}
-
-void
-writeTextOutput(const std::string &path, const std::string &text,
-                const char *what)
-{
-    if (path == "-") {
-        std::cout << text;
-        return;
-    }
-    std::ofstream out(path);
-    if (!out)
-        die(std::string("cannot open ") + path + " for writing");
-    out << text;
-    std::fprintf(stderr, "%s written to %s\n", what, path.c_str());
-}
-
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     ExperimentSpec spec;
     spec.name = "smtsim-sweep";
@@ -151,29 +109,11 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--workload") {
-            try {
-                spec.workloads.push_back(
-                    WorkloadSpec::fromString(need_value(i)));
-            } catch (const std::exception &e) {
-                die(e.what());
-            }
-        } else if (arg == "--engine") {
+        if (arg == "--engine") {
             engine = need_value(i);
             if (engine != "core" && engine != "baseline" &&
                 engine != "both")
                 die("--engine must be core, baseline or both");
-        } else if (arg == "--slots") {
-            spec.slots = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--frames") {
-            spec.frames = parseIntList(arg, need_value(i), -1);
-        } else if (arg == "--lsu") {
-            spec.lsu = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--width") {
-            spec.widths = parseIntList(arg, need_value(i), 1);
-        } else if (arg == "--interval") {
-            spec.rotation_intervals =
-                parseIntList(arg, need_value(i), 1);
         } else if (arg == "--cores") {
             spec.cores = parseIntList(arg, need_value(i), 1);
         } else if (arg == "--host-threads") {
@@ -181,16 +121,6 @@ main(int argc, char **argv)
             if (!parseInt(need_value(i), &v) || v < 0)
                 die("--host-threads needs an integer >= 0");
             opts.machine_host_threads = static_cast<int>(v);
-        } else if (arg == "--standby") {
-            const std::string v = need_value(i);
-            if (v == "on")
-                spec.standby = {true};
-            else if (v == "off")
-                spec.standby = {false};
-            else if (v == "both")
-                spec.standby = {false, true};
-            else
-                die("--standby must be on, off or both");
         } else if (arg == "--max-cycles") {
             unsigned long long v = 0;
             if (!parseUint(need_value(i), &v) || v == 0)
@@ -225,6 +155,8 @@ main(int argc, char **argv)
             csv_path = need_value(i);
         } else if (arg == "--table") {
             want_table = true;
+        } else if (i + 1 < argc && setGridFlag(spec, arg, argv[i + 1])) {
+            ++i;
         } else {
             usage(argv[0]);
         }
@@ -235,17 +167,12 @@ main(int argc, char **argv)
     spec.include_baseline = engine == "both";
 
     std::vector<Job> jobs;
-    try {
-        if (engine == "baseline") {
-            for (const WorkloadSpec &wl : spec.workloads)
-                jobs.push_back(baselineJob(wl.kind + "/baseline",
-                                           wl,
-                                           spec.baseline_template));
-        } else {
-            jobs = spec.expand();
-        }
-    } catch (const std::exception &e) {
-        die(e.what());
+    if (engine == "baseline") {
+        for (const WorkloadSpec &wl : spec.workloads)
+            jobs.push_back(baselineJob(wl.kind + "/baseline", wl,
+                                       spec.baseline_template));
+    } else {
+        jobs = spec.expand();
     }
 
     if (dry_run) {
@@ -253,14 +180,7 @@ main(int argc, char **argv)
         // LRU stamps so a dry run never perturbs eviction order.
         // Keys must match what runJobs() would use, so apply the
         // same sweep-wide cycle clamp before hashing.
-        if (opts.max_cycles > 0) {
-            for (Job &job : jobs) {
-                job.core.max_cycles =
-                    std::min(job.core.max_cycles, opts.max_cycles);
-                job.baseline.max_cycles = std::min(
-                    job.baseline.max_cycles, opts.max_cycles);
-            }
-        }
+        clampCycles(jobs, opts.max_cycles);
         const ResultCache cache(opts.cache_dir);
         std::size_t hits = 0;
         std::printf("%-40s %-16s %s\n", "job", "key", "cache");
@@ -304,4 +224,17 @@ main(int argc, char **argv)
                  rs.results.size() - rs.cacheHits(), rs.cacheHits(),
                  rs.failures(), rs.simSeconds());
     return rs.failures() == 0 ? 0 : 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // Bad flag values and unwritable outputs end here, named.
+    try {
+        return run(argc, argv);
+    } catch (const std::exception &e) {
+        die(e.what());
+    }
 }
