@@ -7,11 +7,13 @@
  * the paper's intended scale (hundreds of logical processors) at a
  * usable speed.
  *
- * Rows are BM_ManyCore/<cores>/<host_threads>. The 16-core rows at
- * 1/2/4/8 host threads feed scripts/bench_manycore.sh, which
- * records BENCH_manycore.json and fails when the 4-thread parallel
- * efficiency drops below a floor. The 64-core/8-slot row is the
- * headline scale: 512 logical processors in one machine.
+ * Rows are BM_ManyCore/<cores>/<host_threads>; host_threads 0 is
+ * the sequential schedule (no worker pool), the one perfbench's
+ * manycore ops run. The 16-core rows at 1/2/4/8 host threads feed
+ * scripts/bench_manycore.sh, which records BENCH_manycore.json and
+ * fails when the 4-thread parallel efficiency drops below a floor.
+ * The 64-core/8-slot row is the headline scale: 512 logical
+ * processors in one machine.
  *
  * Every row couples the cores through the shared L2 (the workload's
  * data segment is the remote region), so the barrier/fold machinery
@@ -101,6 +103,7 @@ BENCHMARK(BM_ManyCore)
     ->Args({1, 1})
     ->Args({4, 1})
     ->Args({4, 4})
+    ->Args({16, 0})     // sequential schedule
     ->Args({16, 1})
     ->Args({16, 2})
     ->Args({16, 4})

@@ -7,6 +7,7 @@
  * sequence printed here is the figure's pattern.
  */
 
+#include <array>
 #include <cstdio>
 #include <vector>
 
@@ -22,6 +23,7 @@ main()
 
     ScheduleUnit alu(FuClass::IntAlu, 1, kSlots);
     std::vector<int> ring = {0, 1, 2};
+    std::array<Grant, 1> grant_buf;     // one grant per ALU
 
     std::printf("Figure 4: rotating-priority selection "
                 "(3 thread slots, 1 ALU, rotation interval %d)\n\n",
@@ -42,7 +44,7 @@ main()
                 alu.submit(std::move(op));
             }
         }
-        const auto grants = alu.select(c, ring);
+        const auto grants = alu.select(c, ring, grant_buf);
         std::printf("%5llu | %c > %c > %c      |",
                     (unsigned long long)c, names[ring[0]],
                     names[ring[1]], names[ring[2]]);

@@ -13,7 +13,9 @@
  *  - multithreaded core at 1/4/8 slots (dense issue),
  *  - concurrent multithreading with a 200-cycle remote-memory
  *    latency (the config dominated by idle cycles, where the
- *    fast-forward event model matters most).
+ *    fast-forward event model matters most),
+ *  - building and destroying one core of bench_manycore's shape
+ *    (BM_CoreConstruct), which a many-core machine pays per core.
  *
  * Every engine config reports simulated cycles/s and MIPS
  * (millions of simulated instructions per second).
@@ -311,6 +313,33 @@ BM_CoreRemote(benchmark::State &state)
     reportRates(state, cycles, insns);
 }
 BENCHMARK(BM_CoreRemote)->Arg(200)->Arg(800);
+
+static void
+BM_CoreConstruct(benchmark::State &state)
+{
+    // One core of bench_manycore's machine: 8 slots, 10 frames, 2
+    // load/store units, matmul(8)'s data segment remote. Only
+    // construction and destruction are timed; the memory is loaded
+    // once.
+    MatmulParams p;
+    p.n = 8;
+    const Workload w = makeMatmul(p);
+    CoreConfig cfg;
+    cfg.num_slots = 8;
+    cfg.num_frames = 10;
+    cfg.fus.load_store = 2;
+    cfg.remote.base = w.program.data_base;
+    cfg.remote.size = static_cast<Addr>(w.program.data.size());
+    MainMemory mem;
+    w.program.loadInto(mem);
+    if (w.init)
+        w.init(mem);
+    for (auto _ : state) {
+        MultithreadedProcessor cpu(w.program, mem, cfg);
+        benchmark::DoNotOptimize(cpu.now());
+    }
+}
+BENCHMARK(BM_CoreConstruct);
 
 static void
 BM_RayTracePixel(benchmark::State &state)

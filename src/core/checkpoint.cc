@@ -11,8 +11,9 @@
  * One transfer function writes and reads the format, so the byte
  * layout is its field order (docs/OBSERVABILITY.md). Only primary
  * state is written: restore rebuilds the derived fields (slot class
- * masks, in-flight fetch flags, queue link reservations) and then
- * requires checkInvariants() to pass. Restore also checks every
+ * masks, queue link reservations, the slot masks, the open-frame
+ * count and each event source's next event)
+ * and then requires checkInvariants() to pass. Restore also checks every
  * field the run loop indexes with: slots, frames, the priority ring
  * and every in-flight instruction must be ones this program and
  * configuration could have produced. Bump kCheckpointVersion on any
@@ -193,10 +194,8 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         // Sleeping is not state: the restored slot simply makes its
         // next decode attempt, which the restored counters already
         // account up to.
-        if constexpr (Ar::kLoading) {
+        if constexpr (Ar::kLoading)
             slot.asleep = false;
-            slot.slept = 0;
-        }
     });
 
     ar.shape("fetch-port", cpu.ports_, [&](auto &port) {
@@ -296,7 +295,6 @@ MultithreadedProcessor::restoreCheckpoint(std::istream &is)
         throw std::runtime_error("checkpoint: " + why);
     // An attached event stream must be self-contained from here on.
     snapshot_pending_ = sink_ != nullptr;
-    grants_scratch_.clear();
 }
 
 } // namespace smtsim

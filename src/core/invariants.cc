@@ -4,6 +4,8 @@
  * recomputes the derived fields from the primary state, restore
  * rebuilds them from it, and checkInvariants() compares the live
  * fields with it and checks the primary state a run can reach.
+ * derive() also keeps the full next-event scan that the run loop's
+ * maintained event sources replace (docs/PERF.md).
  */
 
 #include <algorithm>
@@ -20,8 +22,10 @@ MultithreadedProcessor::Derived
 MultithreadedProcessor::derive() const
 {
     const std::size_t n = slots_.size();
-    Derived d{std::vector<std::uint8_t>(n), std::vector<int>(n),
-              std::vector<int>(n)};
+    Derived d;
+    d.ungranted.resize(n);
+    d.fetches.resize(n);
+    d.reserved.resize(n);
     for (const ScheduleUnit &su : sched_units_) {
         su.forEachOp([&](const IssuedOp &op) {
             d.ungranted[op.slot] |= static_cast<std::uint8_t>(
@@ -29,12 +33,79 @@ MultithreadedProcessor::derive() const
             d.reserved[op.slot] += op.queue_write;
         });
     }
-    for (const PendingPush &push : pending_pushes_)
+    for (const PendingPush &push : pending_pushes_) {
         ++d.reserved[push.slot];
+        d.push_next = std::min(d.push_next, push.at);
+    }
     for (const FetchPort &port : ports_) {
         for (const FetchOp &op : port.inflight)
             ++d.fetches[op.slot];
     }
+    for (int s = 0; s < cfg_.num_slots; ++s) {
+        const SlotMasks m = slotMasks(s);
+        d.masks.live |= m.live;
+        d.masks.draining |= m.draining;
+        d.masks.wants_fetch |= m.wants_fetch;
+    }
+    for (const Context &ctx : contexts_) {
+        d.open_frames += ctx.state != CtxState::Unused &&
+                         ctx.state != CtxState::Finished;
+        if (ctx.state == CtxState::WaitRemote)
+            d.remote_next = std::min(d.remote_next, ctx.ready_at);
+    }
+    d.units_next = unitsNext();
+
+    // The full scan nextEventCycle(now_, sleep_aware) equals.
+    const Cycle c = now_;
+    auto scan = [&](bool sleep_aware) {
+        Cycle ev = kNeverCycle;
+        const Addr end = prog_.textEnd();
+        for (const FetchPort &port : ports_) {
+            for (const FetchOp &op : port.inflight)
+                ev = std::min(ev, op.done_at);
+        }
+        bool free_slot = false;
+        for (int s = 0; s < cfg_.num_slots; ++s) {
+            const Slot &slot = slots_[s];
+            if (slot.frame < 0) {
+                free_slot = true;
+                continue;
+            }
+            if (slot.trap_pending) {
+                if (slot.ungranted == 0)
+                    return c + 1;
+                continue;
+            }
+            if (slot.iqueue.space() > 0 && slot.fetch_addr < end) {
+                const FetchPort &port =
+                    ports_[cfg_.private_icache ? s : 0];
+                ev = std::min(ev, std::max(c + 1, port.free_at));
+            }
+            if (!slot.window.empty()) {
+                const Cycle attempt = sleep_aware && slot.asleep
+                                          ? slot.wake_at
+                                          : slot.d2_allowed;
+                ev = std::min(ev, std::max(c + 1, attempt));
+            }
+            if (static_cast<int>(slot.window.size()) < cfg_.width &&
+                !slot.iqueue.empty()) {
+                return c + 1;
+            }
+        }
+        for (const PendingPush &push : pending_pushes_)
+            ev = std::min(ev, push.at);
+        for (const ScheduleUnit &su : sched_units_)
+            ev = std::min(ev, su.nextEventCycle());
+        if (free_slot && !ready_fifo_.empty())
+            return c + 1;
+        for (const Context &ctx : contexts_) {
+            if (ctx.state == CtxState::WaitRemote)
+                ev = std::min(ev, ctx.ready_at);
+        }
+        return std::max(ev, c + 1);
+    };
+    d.next_event = scan(false);
+    d.next_event_asleep = scan(true);
     return d;
 }
 
@@ -42,6 +113,11 @@ void
 MultithreadedProcessor::rebuildDerived()
 {
     const Derived d = derive();
+    masks_ = d.masks;
+    open_frames_ = d.open_frames;
+    push_next_ = d.push_next;
+    remote_next_ = d.remote_next;
+    units_next_ = d.units_next;
     for (int s = 0; s < cfg_.num_slots; ++s) {
         slots_[s].ungranted = d.ungranted[s];
         for (int k = 0; k < d.reserved[s] && ring_regs_.canReserve(s);
@@ -79,8 +155,9 @@ MultithreadedProcessor::checkInvariants() const
         });
     }
     // A port is busy until its last fetch lands (fetchPhase starts
-    // fetches only on an idle port).
+    // fetches only on an idle port), and its fetches land in order.
     for (std::size_t pi = 0; pi < ports_.size(); ++pi) {
+        Cycle prev = 0;
         for (const FetchOp &op : ports_[pi].inflight) {
             check(static_cast<int>(pi) ==
                       (cfg_.private_icache ? op.slot : 0),
@@ -88,8 +165,41 @@ MultithreadedProcessor::checkInvariants() const
                   ": fetch in flight on another slot's port");
             check(op.done_at <= ports_[pi].free_at, "fetch port ", pi,
                   ": free before its fetch for slot ", op.slot, " lands");
+            check(op.done_at >= prev, "fetch port ", pi, ": fetch for slot ",
+                  op.slot, " lands at ", op.done_at, ", before ", prev);
+            prev = op.done_at;
         }
     }
+
+    // The slot masks: the lowest slot whose bit differs, per mask.
+    auto maskCheck = [&](const char *name, std::uint64_t kept,
+                         std::uint64_t want) {
+        const std::uint64_t diff = kept ^ want;
+        if (diff == 0)
+            return;
+        const int s = std::countr_zero(diff);
+        check(false, "slot ", s, ": ", name, " mask bit ",
+              (kept >> s) & 1, " but its state says ", (want >> s) & 1);
+    };
+    maskCheck("live", masks_.live, d.masks.live);
+    maskCheck("draining", masks_.draining, d.masks.draining);
+    maskCheck("wants-fetch", masks_.wants_fetch, d.masks.wants_fetch);
+
+    // Each event source's maintained next event, then the minimum
+    // over them against the full scan.
+    check(open_frames_ == d.open_frames, "open frames: ", open_frames_,
+          " counted but ", d.open_frames, " are ready, running or waiting");
+    check(push_next_ == d.push_next, "pending pushes: next event ",
+          push_next_, " but the earliest lands at ", d.push_next);
+    check(remote_next_ == d.remote_next, "remote wake-ups: next event ",
+          remote_next_, " but the earliest ready_at is ", d.remote_next);
+    check(units_next_ == d.units_next, "schedule units: next event ",
+          units_next_, " but the earliest is ", d.units_next);
+    check(nextEventCycle(now_) == d.next_event, "next event ",
+          nextEventCycle(now_), " but the full scan finds ", d.next_event);
+    check(nextEventCycle(now_, true) == d.next_event_asleep,
+          "sleep-aware next event ", nextEventCycle(now_, true),
+          " but the full scan finds ", d.next_event_asleep);
 
     for (int s = 0; s < cfg_.num_slots; ++s) {
         const Slot &slot = slots_[s];
@@ -119,8 +229,9 @@ MultithreadedProcessor::checkInvariants() const
         check(!slot.asleep || (slot.frame >= 0 && !slot.trap_pending &&
                                !slot.window.empty() && cfg_.fast_forward),
               "slot ", s, ": asleep without a window to retry");
-        check(slot.asleep || slot.slept == 0, "slot ", s,
-              ": uncredited attempts while awake");
+        check(!slot.asleep || slot.slept_through == now_, "slot ", s,
+              ": attempts after cycle ", slot.slept_through,
+              " not credited");
 
         const bool fetched = !slot.window.empty() ||
                              !slot.iqueue.empty() || d.fetches[s] > 0;
@@ -137,6 +248,12 @@ MultithreadedProcessor::checkInvariants() const
             check(contexts_[slot.frame].state == CtxState::Running,
                   "slot ", s, ": bound to frame ", slot.frame,
                   ", which is not running");
+            // D1 ran in the slot's last decode turn (a sleeping
+            // slot's deliveries wake it), so it has no refill due.
+            check(static_cast<int>(slot.window.size()) >= cfg_.width ||
+                      slot.iqueue.empty(),
+                  "slot ", s, ": window has room while the instruction "
+                  "queue holds ", slot.iqueue.size(), " words");
             std::uint64_t waiting = 0;
             for (std::size_t r = 0; r < slot.sb.size(); ++r)
                 waiting |= std::uint64_t{slot.sb[r] == kNeverCycle} << r;

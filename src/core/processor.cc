@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "base/logging.hh"
 #include "isa/semantics.hh"
@@ -44,6 +46,12 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
     for (int k = 0; k < kNumStalls; ++k)
         stall_[k] = &detail_.counter(kStallNames[k]);
 
+    if (cfg_.num_slots > kMaxSlots) {
+        throw std::invalid_argument(
+            "core: " + std::to_string(cfg_.num_slots) +
+            " thread slots exceed the limit of " +
+            std::to_string(kMaxSlots));
+    }
     SMTSIM_ASSERT(cfg_.num_slots >= 1, "need at least one slot");
     SMTSIM_ASSERT(cfg_.frames() >= cfg_.num_slots,
                   "need at least one frame per slot");
@@ -75,6 +83,7 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
     // The entry thread occupies context frame 0 and thread slot 0.
     contexts_[0].state = CtxState::Ready;
     contexts_[0].resume_pc = prog_.entry;
+    open_frames_ = 1;
     bindContext(0, 0, 0);
 }
 
@@ -120,6 +129,7 @@ MultithreadedProcessor::completeRemote(int frame, Cycle ready_at)
     SMTSIM_ASSERT(ready_at > now_,
                   "completeRemote: completion not in the future");
     ctx.ready_at = ready_at;
+    remote_next_ = std::min(remote_next_, ready_at);
     last_activity_ = std::max(last_activity_, ready_at);
 }
 
@@ -213,6 +223,7 @@ MultithreadedProcessor::spawnContext(
             contexts_[f].iregs = iregs;
             contexts_[f].fregs = fregs;
             ready_fifo_.push_back(f);
+            ++open_frames_;
             return f;
         }
     }
@@ -229,6 +240,32 @@ double
 MultithreadedProcessor::fpReg(int frame, RegIndex idx) const
 {
     return contexts_.at(frame).fregs[idx];
+}
+
+MultithreadedProcessor::SlotMasks
+MultithreadedProcessor::slotMasks(int s) const
+{
+    const Slot &slot = slots_[s];
+    const std::uint64_t bit = std::uint64_t{1} << s;
+    const bool live = slot.frame >= 0 && !slot.trap_pending;
+    SlotMasks m;
+    m.live = live ? bit : 0;
+    m.draining = slot.frame >= 0 && slot.trap_pending ? bit : 0;
+    m.wants_fetch = live && slot.iqueue.space() > 0 &&
+                            slot.fetch_addr < prog_.textEnd()
+                        ? bit
+                        : 0;
+    return m;
+}
+
+void
+MultithreadedProcessor::refreshSlot(int s)
+{
+    const std::uint64_t keep = ~(std::uint64_t{1} << s);
+    const SlotMasks m = slotMasks(s);
+    masks_.live = (masks_.live & keep) | m.live;
+    masks_.draining = (masks_.draining & keep) | m.draining;
+    masks_.wants_fetch = (masks_.wants_fetch & keep) | m.wants_fetch;
 }
 
 MultithreadedProcessor::Context &
@@ -252,18 +289,11 @@ MultithreadedProcessor::ctxOf(int slot_id) const
 // ---------------------------------------------------------------
 
 bool
-MultithreadedProcessor::slotActive(int slot_id) const
-{
-    const Slot &slot = slots_[slot_id];
-    return slot.frame >= 0 && !slot.trap_pending &&
-           contexts_[slot.frame].state == CtxState::Running;
-}
-
-bool
 MultithreadedProcessor::hasTopPriority(int slot_id) const
 {
+    // A live slot's context is running (checkInvariants()).
     for (int s : ring_) {
-        if (slotActive(s))
+        if ((masks_.live >> s) & 1)
             return s == slot_id;
     }
     return false;
@@ -468,11 +498,14 @@ MultithreadedProcessor::scheduleRedirect(int slot_id, Addr target,
     op.redirect = true;
     const Cycle miss_delay = icacheDelay(target, op.words);
     op.done_at = s + cache + miss_delay;
+    // No earlier than the port's other fetches: the list stays
+    // ordered by done_at.
     port.inflight.push_back(op);
     port.free_at = s + cache + miss_delay;
     // Subsequent sequential refills continue past this block.
     slots_[slot_id].fetch_addr =
         target + static_cast<Addr>(op.words) * kInsnBytes;
+    refreshSlot(slot_id);
     return s;
 }
 
@@ -480,84 +513,85 @@ void
 MultithreadedProcessor::fetchPhase(Cycle c)
 {
     const Addr end = prog_.textEnd();
-    for (size_t pi = 0; pi < ports_.size(); ++pi) {
-        FetchPort &port = ports_[pi];
 
-        // Deliveries.
-        for (auto it = port.inflight.begin();
-             it != port.inflight.end();) {
-            if (it->done_at > c) {
-                ++it;
-                continue;
-            }
+    // Deliveries: each port's fetches land in done_at order.
+    for (FetchPort &port : ports_) {
+        auto it = port.inflight.begin();
+        for (; it != port.inflight.end() && it->done_at <= c; ++it) {
             Slot &slot = slots_[it->slot];
-            if (slot.frame >= 0 && !slot.trap_pending) {
-                // New words reach a sleeping slot's window only
-                // through free window space.
-                if (static_cast<int>(slot.window.size()) < cfg_.width)
-                    wakeSlot(slot);
-                const int n = std::min(slot.iqueue.space(), it->words);
-                for (int k = 0; k < n; ++k) {
-                    const Addr a =
-                        it->addr + static_cast<Addr>(k) * kInsnBytes;
-                    if (a < end)
-                        slot.iqueue.push(a);
-                }
-                if (sink_ && n > 0) {
-                    obs::Event ev;
-                    ev.cycle = c;
-                    ev.kind = obs::EventKind::Fetch;
-                    ev.slot = static_cast<std::int8_t>(it->slot);
-                    ev.pc = it->addr;
-                    ev.a = static_cast<std::uint64_t>(n);
-                    sink_->event(ev);
-                }
-                // Words that did not fit are refetched: the stream
-                // position rewinds to the first undelivered word.
-                if (n < it->words && !it->redirect) {
-                    slot.fetch_addr =
-                        it->addr + static_cast<Addr>(n) * kInsnBytes;
-                }
-            }
-            it = port.inflight.erase(it);
-        }
-
-        // Start a new fetch if the port is idle: a private port
-        // serves its own slot, the shared one every slot round-robin.
-        // An idle port has delivered every fetch (its free_at is the
-        // latest done_at), so no slot has one in flight.
-        if (port.free_at > c)
-            continue;
-        const int num_slots = cfg_.num_slots;
-        const int candidates = cfg_.private_icache ? 1 : num_slots;
-        int s = cfg_.private_icache ? static_cast<int>(pi) : port.rr_next;
-        for (int k = 0; k < candidates;
-             ++k, s = s + 1 < num_slots ? s + 1 : 0) {
-            Slot &slot = slots_[s];
-            if (slot.frame < 0 || slot.trap_pending ||
-                slot.iqueue.space() <= 0 || slot.fetch_addr >= end) {
+            if (!((masks_.live >> it->slot) & 1))
                 continue;
+            // New words reach a sleeping slot's window only through
+            // free window space.
+            if (static_cast<int>(slot.window.size()) < cfg_.width)
+                wakeSlot(slot);
+            const int n = std::min(slot.iqueue.space(), it->words);
+            for (int k = 0; k < n; ++k) {
+                const Addr a =
+                    it->addr + static_cast<Addr>(k) * kInsnBytes;
+                if (a < end)
+                    slot.iqueue.push(a);
             }
-
-            FetchOp op;
-            op.slot = s;
-            op.addr = slot.fetch_addr;
-            op.words = std::min(
-                cfg_.fetchBlockWords(),
-                static_cast<int>((end - slot.fetch_addr) /
-                                 kInsnBytes));
-            op.redirect = false;
-            op.done_at = c +
-                         static_cast<Cycle>(cfg_.icache_cycles) +
-                         icacheDelay(op.addr, op.words);
-            slot.fetch_addr +=
-                static_cast<Addr>(op.words) * kInsnBytes;
-            port.inflight.push_back(op);
-            port.free_at = op.done_at;
-            port.rr_next = (s + 1) % num_slots;
-            break;
+            if (sink_ && n > 0) {
+                obs::Event ev;
+                ev.cycle = c;
+                ev.kind = obs::EventKind::Fetch;
+                ev.slot = static_cast<std::int8_t>(it->slot);
+                ev.pc = it->addr;
+                ev.a = static_cast<std::uint64_t>(n);
+                sink_->event(ev);
+            }
+            // Words that did not fit are refetched: the stream
+            // position rewinds to the first undelivered word.
+            if (n < it->words && !it->redirect) {
+                slot.fetch_addr =
+                    it->addr + static_cast<Addr>(n) * kInsnBytes;
+            }
+            refreshSlot(it->slot);
         }
+        port.inflight.erase(port.inflight.begin(), it);
     }
+
+    // Start a new fetch on an idle port: a private port serves its
+    // own slot, the shared one the slots that want a fetch,
+    // round-robin from rr_next. An idle port has delivered every
+    // fetch (its free_at is the latest done_at), so no slot has one
+    // in flight.
+    if (cfg_.private_icache) {
+        for (std::uint64_t m = masks_.wants_fetch; m != 0; m &= m - 1) {
+            const int s = std::countr_zero(m);
+            if (ports_[s].free_at <= c)
+                startFetch(s, c);
+        }
+    } else if (masks_.wants_fetch != 0 && ports_[0].free_at <= c) {
+        const std::uint64_t later =
+            masks_.wants_fetch & (~std::uint64_t{0} << ports_[0].rr_next);
+        startFetch(std::countr_zero(later != 0 ? later
+                                               : masks_.wants_fetch),
+                   c);
+    }
+}
+
+void
+MultithreadedProcessor::startFetch(int slot_id, Cycle c)
+{
+    const Addr end = prog_.textEnd();
+    Slot &slot = slots_[slot_id];
+    FetchPort &port = portOf(slot_id);
+    FetchOp op;
+    op.slot = slot_id;
+    op.addr = slot.fetch_addr;
+    op.words = std::min(
+        cfg_.fetchBlockWords(),
+        static_cast<int>((end - slot.fetch_addr) / kInsnBytes));
+    op.redirect = false;
+    op.done_at = c + static_cast<Cycle>(cfg_.icache_cycles) +
+                 icacheDelay(op.addr, op.words);
+    slot.fetch_addr += static_cast<Addr>(op.words) * kInsnBytes;
+    port.inflight.push_back(op);
+    port.free_at = op.done_at;
+    port.rr_next = (slot_id + 1) % cfg_.num_slots;
+    refreshSlot(slot_id);
 }
 
 // ---------------------------------------------------------------
@@ -572,6 +606,7 @@ MultithreadedProcessor::flushFrontEnd(int slot_id)
     slot.iqueue.clear();
     slot.window.clear();
     cancelFetches(slot_id);
+    refreshSlot(slot_id);
 }
 
 void
@@ -606,6 +641,7 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
         sink_->event(ev);
     }
     slot.fetch_addr = ctx.resume_pc;
+    // Refreshes the slot's mask bits too.
     const Cycle s = scheduleRedirect(slot_id, ctx.resume_pc, c + 1);
     slot.d2_allowed =
         std::max(s + static_cast<Cycle>(cfg_.branch_gap),
@@ -628,6 +664,7 @@ MultithreadedProcessor::unbindSlot(int slot_id)
     flushFrontEnd(slot_id);
     slot.frame = -1;
     slot.trap_pending = false;
+    refreshSlot(slot_id);
 }
 
 Addr
@@ -660,18 +697,25 @@ MultithreadedProcessor::killOtherThreads(int killer_slot)
             continue;
         }
         ctx.state = CtxState::Finished;
+        --open_frames_;
     }
-    for (int s = 0; s < cfg_.num_slots; ++s) {
-        if (s == killer_slot || slots_[s].frame < 0)
-            continue;
+    const std::uint64_t victims =
+        (masks_.live | masks_.draining) &
+        ~(std::uint64_t{1} << killer_slot);
+    for (std::uint64_t m = victims; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
         for (ScheduleUnit &su : sched_units_)
             su.flushSlot(s);
         slots_[s].ungranted = 0;
         unbindSlot(s);
     }
-    // Kill-threads resets the queue-register network.
+    units_next_ = unitsNext();
+    // Kill-threads resets the queue-register network; no frame but
+    // the killer's is left to wake.
     ring_regs_.clear();
     pending_pushes_.clear();
+    push_next_ = kNeverCycle;
+    remote_next_ = kNeverCycle;
     ready_fifo_.clear();
     if (sink_) {
         for (int l = 0; l < ring_regs_.numLinks(); ++l) {
@@ -704,6 +748,7 @@ MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
         push.value = is_fp ? std::bit_cast<std::uint64_t>(fval)
                            : std::uint64_t{ival};
         pending_pushes_.push_back(push);
+        push_next_ = std::min(push_next_, clear_at);
     } else if (op.dst.file == RF::Int && op.dst.idx == 0) {
         // Writes to r0 vanish; no write port needed.
     } else {
@@ -764,6 +809,7 @@ MultithreadedProcessor::takeRemoteTrap(const IssuedOp &op, Cycle c,
         remote_model_->request(slot.frame, addr, c);
     } else {
         ctx.ready_at = c + cfg_.remote.latency;
+        remote_next_ = std::min(remote_next_, ctx.ready_at);
     }
     ctx.satisfied_addr = addr;
     ctx.replay.push_back(ReplayEntry{op.insn, op.pc});
@@ -771,6 +817,7 @@ MultithreadedProcessor::takeRemoteTrap(const IssuedOp &op, Cycle c,
 
     flushFrontEnd(op.slot);
     slot.trap_pending = true;
+    refreshSlot(op.slot);
 }
 
 void
@@ -887,32 +934,56 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
 void
 MultithreadedProcessor::schedulePhase(Cycle c)
 {
-    // Queue-register deposits land at the producer's write-back.
-    for (auto it = pending_pushes_.begin();
-         it != pending_pushes_.end();) {
-        if (it->at <= c) {
-            ring_regs_.push(it->slot, it->value);
+    // Queue-register deposits land at the producer's write-back,
+    // in the order they were granted.
+    if (push_next_ <= c) {
+        push_next_ = kNeverCycle;
+        std::size_t keep = 0;
+        for (const PendingPush &push : pending_pushes_) {
+            if (push.at > c) {
+                push_next_ = std::min(push_next_, push.at);
+                pending_pushes_[keep++] = push;
+                continue;
+            }
+            ring_regs_.push(push.slot, push.value);
             if (sink_) {
                 obs::Event ev;
                 ev.cycle = c;
                 ev.kind = obs::EventKind::QueuePush;
-                ev.slot = static_cast<std::int8_t>(it->slot);
-                ev.a = it->value;
+                ev.slot = static_cast<std::int8_t>(push.slot);
+                ev.a = push.value;
                 sink_->event(ev);
             }
-            it = pending_pushes_.erase(it);
-        } else {
-            ++it;
         }
+        pending_pushes_.resize(keep);
     }
 
+    if (units_next_ > c)
+        return;
+    if (grants_.empty()) {
+        // Sized on first use, as construction must stay as cheap as
+        // it was (docs/PERF.md section 6).
+        int most = 1;
+        for (const ScheduleUnit &su : sched_units_)
+            most = std::max(most, su.numUnits());
+        grants_.resize(static_cast<std::size_t>(most));
+    }
     for (ScheduleUnit &su : sched_units_) {
         if (su.nextEventCycle() > c)
             continue;       // select() would latch and grant nothing
-        su.select(c, ring_, grants_scratch_);
-        for (const Grant &grant : grants_scratch_)
+        for (const Grant &grant : su.select(c, ring_, grants_))
             performGrant(grant, c);
     }
+    units_next_ = unitsNext();
+}
+
+Cycle
+MultithreadedProcessor::unitsNext() const
+{
+    Cycle ev = kNeverCycle;
+    for (const ScheduleUnit &su : sched_units_)
+        ev = std::min(ev, su.nextEventCycle());
+    return ev;
 }
 
 // ---------------------------------------------------------------
@@ -922,36 +993,39 @@ MultithreadedProcessor::schedulePhase(Cycle c)
 void
 MultithreadedProcessor::contextPhase(Cycle c)
 {
-    // Remote accesses that completed make their contexts ready
-    // (only remote memory switches contexts out).
-    if (cfg_.remote.size > 0) {
+    // Remote accesses that completed make their contexts ready, in
+    // frame order (only remote memory switches contexts out).
+    if (remote_next_ <= c) {
+        remote_next_ = kNeverCycle;
         for (int f = 0; f < cfg_.frames(); ++f) {
             Context &ctx = contexts_[f];
-            if (ctx.state == CtxState::WaitRemote &&
-                ctx.ready_at <= c) {
+            if (ctx.state != CtxState::WaitRemote)
+                continue;
+            if (ctx.ready_at <= c) {
                 ctx.state = CtxState::Ready;
                 ready_fifo_.push_back(f);
+            } else {
+                remote_next_ = std::min(remote_next_, ctx.ready_at);
             }
         }
     }
 
     // Switch-outs complete once every granted-op drain finishes.
-    for (int s = 0; s < cfg_.num_slots; ++s) {
-        Slot &slot = slots_[s];
-        if (slot.frame >= 0 && slot.trap_pending &&
-            slot.ungranted == 0) {
+    for (std::uint64_t m = masks_.draining; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        if (slots_[s].ungranted == 0)
             unbindSlot(s);
-        }
     }
 
     // Bind ready contexts to free slots, FIFO (the FIFO holds
     // exactly the Ready contexts; KILLT empties both).
-    for (int s = 0; s < cfg_.num_slots && !ready_fifo_.empty(); ++s) {
-        if (slots_[s].frame >= 0)
-            continue;
+    if (ready_fifo_.empty())
+        return;
+    for (std::uint64_t m = freeSlots(); m != 0 && !ready_fifo_.empty();
+         m &= m - 1) {
         const int frame = ready_fifo_.front();
         ready_fifo_.erase(ready_fifo_.begin());
-        bindContext(frame, s, c);
+        bindContext(frame, std::countr_zero(m), c);
     }
 }
 
@@ -1072,8 +1146,10 @@ MultithreadedProcessor::handleControl(int slot_id,
             sink_->event(ev);
         }
         ctx.state = CtxState::Finished;
+        --open_frames_;
         flushFrontEnd(slot_id);
         slot.trap_pending = true;   // drain, then unbind
+        refreshSlot(slot_id);
         return ControlOutcome::Flushed;
       case Op::FASTFORK: {
         for (int j = 0; j < cfg_.num_slots; ++j) {
@@ -1096,6 +1172,7 @@ MultithreadedProcessor::handleControl(int slot_id,
             contexts_[frame].q_write_fp = ctx.q_write_fp;
             contexts_[frame].resume_pc = entry.pc + kInsnBytes;
             contexts_[frame].state = CtxState::Ready;
+            ++open_frames_;
             // Thread i of the recording engine starts on slot i
             // (the FASTFORK convention), so the forked context
             // plays back trace thread j.
@@ -1200,10 +1277,10 @@ MultithreadedProcessor::addStalls(const StallCounts &stalls,
 void
 MultithreadedProcessor::creditSleep(Slot &slot)
 {
-    if (slot.slept == 0)
+    if (!slot.asleep || slot.slept_through == now_)
         return;
-    addStalls(slot.sleep_stalls, slot.slept);
-    slot.slept = 0;
+    addStalls(slot.sleep_stalls, now_ - slot.slept_through);
+    slot.slept_through = now_;
 }
 
 void
@@ -1211,7 +1288,11 @@ MultithreadedProcessor::wakeSlot(Slot &slot)
 {
     if (!slot.asleep)
         return;
-    creditSleep(slot);
+    // Every wake-up in cycle now_ comes before the slot's decode
+    // turn (a KILLT victim ranks below the killer), so now_'s
+    // attempt is not one of the skipped ones.
+    if (now_ - 1 > slot.slept_through)
+        addStalls(slot.sleep_stalls, now_ - 1 - slot.slept_through);
     slot.asleep = false;
 }
 
@@ -1373,6 +1454,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             sink_->event(ev);
         }
         sched_units_[cls].submit(std::move(issued));
+        units_next_ = std::min(units_next_, c + 1);
         slot.ungranted |= static_cast<std::uint8_t>(1u << cls);
         ++issues;
     }
@@ -1401,6 +1483,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
     slot.watched = watched;
     slot.wake_on_grant = grant_dep;
     slot.sleep_stalls = stalls;
+    slot.slept_through = c;
     return true;
 }
 
@@ -1408,15 +1491,12 @@ void
 MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
 {
     Slot &slot = slots_[slot_id];
-    if (slot.frame < 0 || slot.trap_pending)
-        return;
-
     const bool fruitless = c >= slot.d2_allowed &&
                            !slot.window.empty() &&
                            issueWindow(slot_id, c);
 
     // D1: move instructions from the queue unit into the window.
-    if (slot.frame < 0 || slot.trap_pending)
+    if (!((masks_.live >> slot_id) & 1))
         return;
     bool refilled = false;
     while (static_cast<int>(slot.window.size()) < cfg_.width &&
@@ -1426,23 +1506,27 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
         slot.window.push_back(WindowEntry{&text_.op(a), a, false});
         refilled = true;
     }
+    if (refilled)
+        refreshSlot(slot_id);
     slot.asleep = fruitless && !refilled;
 }
 
 void
 MultithreadedProcessor::decodePhase(Cycle c)
 {
-    // Decode in current priority order; determinism matters for the
-    // queue-register network. Nothing in this phase rotates the
-    // ring: CHGPRI only requests the rotation rotationPhase makes.
+    // Decode the live slots in current priority order; determinism
+    // matters for the queue-register network. A slot bound or
+    // unbound by an earlier one's FASTFORK or KILLT is seen as it is
+    // now. Nothing in this phase rotates the ring: CHGPRI only
+    // requests the rotation rotationPhase makes.
     for (int s : ring_) {
+        if (!((masks_.live >> s) & 1))
+            continue;
         Slot &slot = slots_[s];
         if (slot.asleep) {
             // The attempt would repeat the last one exactly.
-            if (c < slot.wake_at) {
-                ++slot.slept;
+            if (c < slot.wake_at)
                 continue;
-            }
             wakeSlot(slot);
         }
         decodeSlot(s, c);
@@ -1473,14 +1557,11 @@ MultithreadedProcessor::rotationPhase(Cycle c)
 bool
 MultithreadedProcessor::allDone() const
 {
-    for (const Context &ctx : contexts_) {
-        if (ctx.state != CtxState::Unused &&
-            ctx.state != CtxState::Finished) {
-            return false;
-        }
-    }
-    for (const Slot &slot : slots_) {
-        if (slot.frame >= 0 && slot.ungranted != 0)
+    if (open_frames_ > 0)
+        return false;
+    for (std::uint64_t m = masks_.live | masks_.draining; m != 0;
+         m &= m - 1) {
+        if (slots_[std::countr_zero(m)].ungranted != 0)
             return false;
     }
     return true;
@@ -1493,102 +1574,73 @@ MultithreadedProcessor::allDone() const
 Cycle
 MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
 {
+    const Cycle soon = c + 1;
     Cycle ev = kNeverCycle;
-    const Addr end = prog_.textEnd();
 
-    // Fetch deliveries land at their done_at.
-    for (const FetchPort &port : ports_) {
-        for (const FetchOp &op : port.inflight)
-            ev = std::min(ev, op.done_at);
-    }
-
-    bool free_slot = false;
-    for (int s = 0; s < cfg_.num_slots; ++s) {
-        const Slot &slot = slots_[s];
-        if (slot.frame < 0) {
-            free_slot = true;
+    // A non-empty window is (re)examined by D2 once the refill
+    // bubble expires — even a fruitless attempt bumps stall
+    // counters, so it can never be skipped over. Only a sleeping
+    // slot's attempts are known in advance: they repeat until
+    // wake_at unless another event here intervenes. (D1 has no
+    // event of its own: between cycles a live slot's window is full
+    // or its instruction queue empty, checkInvariants().)
+    for (std::uint64_t m = masks_.live; m != 0; m &= m - 1) {
+        const Slot &slot = slots_[std::countr_zero(m)];
+        if (slot.window.empty())
             continue;
-        }
-        if (slot.trap_pending) {
-            // A drained switch-out unbinds in the next contextPhase.
-            if (slot.ungranted == 0)
-                return c + 1;
-            continue;   // remaining drain comes via grant events
-        }
-        // A new fetch starts once this slot's port is idle (a slot
-        // with a fetch in flight adds no earlier event: the port is
-        // busy until that fetch lands).
-        if (slot.iqueue.space() > 0 && slot.fetch_addr < end) {
-            const FetchPort &port =
-                ports_[cfg_.private_icache ? s : 0];
-            ev = std::min(ev, std::max(c + 1, port.free_at));
-        }
-        // A non-empty window is (re)examined by D2 once the refill
-        // bubble expires — even a fruitless attempt bumps stall
-        // counters, so it can never be skipped over. Only a
-        // sleeping slot's attempts are known in advance: they repeat
-        // until wake_at unless another event here intervenes.
-        if (!slot.window.empty()) {
-            const Cycle attempt = sleep_aware && slot.asleep
-                                      ? slot.wake_at
-                                      : slot.d2_allowed;
-            ev = std::min(ev, std::max(c + 1, attempt));
-        }
-        // D1 moves queued instructions into free window space.
-        if (static_cast<int>(slot.window.size()) < cfg_.width &&
-            !slot.iqueue.empty()) {
-            return c + 1;
-        }
+        const Cycle attempt =
+            sleep_aware && slot.asleep ? slot.wake_at : slot.d2_allowed;
+        if (attempt <= soon)
+            return soon;
+        ev = std::min(ev, attempt);
     }
-
-    // Queue-register deposits land at the producer's write-back.
-    for (const PendingPush &push : pending_pushes_)
-        ev = std::min(ev, push.at);
-
-    // Standby latches and grants.
-    for (const ScheduleUnit &su : sched_units_)
-        ev = std::min(ev, su.nextEventCycle());
-
-    // Context wake-ups and binds.
-    if (free_slot && !ready_fifo_.empty())
-        return c + 1;
-    for (const Context &ctx : contexts_) {
-        if (ctx.state == CtxState::WaitRemote)
-            ev = std::min(ev, ctx.ready_at);
+    // A drained switch-out unbinds in the next contextPhase; the
+    // rest of a drain comes via grant events.
+    for (std::uint64_t m = masks_.draining; m != 0; m &= m - 1) {
+        if (slots_[std::countr_zero(m)].ungranted == 0)
+            return soon;
     }
+    // Binds.
+    if (!ready_fifo_.empty() && freeSlots() != 0)
+        return soon;
 
-    return std::max(ev, c + 1);
+    // Standby latches and grants, queue-register deposits at the
+    // producer's write-back, and context wake-ups.
+    ev = std::min({ev, units_next_, push_next_, remote_next_});
+
+    // Fetch deliveries land at their done_at, each port's in order.
+    for (const FetchPort &port : ports_) {
+        if (!port.inflight.empty())
+            ev = std::min(ev, port.inflight.front().done_at);
+    }
+    // A new fetch starts once its port is idle (a slot with a fetch
+    // in flight adds no earlier event: the port is busy until that
+    // fetch lands).
+    if (cfg_.private_icache) {
+        for (std::uint64_t m = masks_.wants_fetch; m != 0; m &= m - 1) {
+            ev = std::min(ev, std::max(soon,
+                                       ports_[std::countr_zero(m)].free_at));
+        }
+    } else if (masks_.wants_fetch != 0) {
+        ev = std::min(ev, std::max(soon, ports_[0].free_at));
+    }
+    return std::max(ev, soon);
 }
 
 void
 MultithreadedProcessor::fastForward(Cycle stop)
 {
-    // Cheap gate: when any slot can attempt a decode or refill its
-    // window next cycle, nothing is skippable — bail before the
-    // full event scan below touches ports, schedule units and
-    // contexts. On busy workloads this loop is the entire cost of
-    // having fast-forward enabled. A sleeping slot only repeats its
-    // last attempt before wake_at, which the jump credits in bulk.
-    for (const Slot &slot : slots_) {
-        if (slot.frame < 0 || slot.trap_pending)
-            continue;
-        if (!slot.window.empty() &&
-            (slot.asleep ? slot.wake_at : slot.d2_allowed) <= now_ + 1)
-            return;
-        if (static_cast<int>(slot.window.size()) < cfg_.width &&
-            !slot.iqueue.empty())
-            return;
-    }
     const Cycle next = nextEventCycle(now_, true);
     if (next <= now_ + 1)
         return;
-    // Skip cycles now_+1 .. target-1; the loop increment then lands
-    // on the event cycle (or past the stop cycle when nothing is
+    // Skip cycles now_+1 .. target-1; the run loop then steps the
+    // event cycle (or stops at the stop cycle when nothing is
     // pending, matching the naive loop's budget exhaustion). The
     // clamp to `stop` keeps runUntil() bit-identical to run():
     // skipped cycles are no-ops and the batched rotation below is
     // linear in the cycle count, so splitting the jump at a
-    // checkpoint boundary changes nothing.
+    // checkpoint boundary changes nothing. Sleeping slots count
+    // their skipped attempts from slept_through.
     const Cycle target = std::min(next, stop + 1);
     if (rotation_mode_ == RotationMode::Implicit &&
         rotation_interval_ > 0 && ring_.size() > 1) {
@@ -1605,10 +1657,6 @@ MultithreadedProcessor::fastForward(Cycle stop)
             if (sink_)
                 emitRing(target - 1);
         }
-    }
-    for (Slot &slot : slots_) {
-        if (slot.asleep)
-            slot.slept += target - 1 - now_;
     }
     now_ = target - 1;
 }
@@ -1628,7 +1676,19 @@ MultithreadedProcessor::runUntil(Cycle stop)
     if (snapshot_pending_)
         emitStateSnapshot();
 
+    // Fast-forward jumps before each step, so an idle cycle is never
+    // stepped. With a sink attached the first cycle of a call is
+    // stepped regardless: a jump over it would fold its implicit
+    // rotation into the batch's one RingState event, and event
+    // streams stay as they were.
+    bool may_jump = cfg_.fast_forward && sink_ == nullptr;
     while (now_ < stop) {
+        if (may_jump) {
+            fastForward(stop);
+            if (now_ >= stop)
+                break;
+        }
+        may_jump = cfg_.fast_forward;
         ++now_;
         fetchPhase(now_);
         schedulePhase(now_);
@@ -1654,8 +1714,6 @@ MultithreadedProcessor::runUntil(Cycle stop)
             }
             break;
         }
-        if (cfg_.fast_forward)
-            fastForward(stop);
     }
     // The counters returned must include the attempts sleeping
     // slots skipped so far; the slots themselves sleep on.

@@ -59,6 +59,10 @@ namespace smtsim
 class MultithreadedProcessor
 {
   public:
+    /** Thread slots a core can have: the slot masks are 64 bits. */
+    static constexpr int kMaxSlots = 64;
+
+    /** Throws std::invalid_argument for more than kMaxSlots slots. */
     MultithreadedProcessor(const Program &prog, MainMemory &mem,
                            const CoreConfig &cfg = {});
 
@@ -364,8 +368,9 @@ class MultithreadedProcessor
          * flush, bind, or an own grant when wake_on_grant) arrives
          * first. A grant that writes a watched scoreboard entry
          * pulls wake_at in to the new clear cycle. Each skipped
-         * attempt would have repeated sleep_stalls; `slept` counts
-         * them until they are credited to the counters in bulk.
+         * attempt would have repeated sleep_stalls; they are
+         * credited to the counters in bulk, counted from
+         * slept_through.
          */
         bool asleep = false;
         /** The attempt was blocked by the class mask, which any own
@@ -374,7 +379,9 @@ class MultithreadedProcessor
         Cycle wake_at = 0;
         /** Scoreboard entries (flatReg() bits) the attempt read. */
         std::uint64_t watched = 0;
-        std::uint64_t slept = 0;
+        /** While asleep: the last cycle whose attempt was made or
+         *  credited. */
+        Cycle slept_through = 0;
         StallCounts sleep_stalls{};
 
         InsnQueue iqueue;           ///< instruction queue unit
@@ -444,20 +451,52 @@ class MultithreadedProcessor
         std::uint64_t value = 0;
     };
 
+    /** Slot sets, bit s for slot s. */
+    struct SlotMasks
+    {
+        std::uint64_t live = 0;         ///< bound, not draining
+        std::uint64_t draining = 0;     ///< bound, switching out
+        /** Live, with instruction-queue space and text left: the
+         *  slots a fetch could start for. */
+        std::uint64_t wants_fetch = 0;
+    };
+
     /** Recomputed from the primary state (core/invariants.cc): the
      *  derived fields — per slot its class mask, per link its
-     *  reservations (pending pushes plus ungranted queue writes) —
-     *  and per slot its fetches in flight. */
+     *  reservations (pending pushes plus ungranted queue writes),
+     *  the slot masks, the open frames and each event source's next
+     *  event — per slot its fetches in flight, and the next event
+     *  cycle by a full scan of the state, sleep-unaware and
+     *  sleep-aware. */
     struct Derived
     {
         std::vector<std::uint8_t> ungranted;
         std::vector<int> fetches;
         std::vector<int> reserved;
+        SlotMasks masks;
+        int open_frames = 0;
+        Cycle push_next = kNeverCycle;
+        Cycle remote_next = kNeverCycle;
+        Cycle units_next = kNeverCycle;
+        Cycle next_event = kNeverCycle;
+        Cycle next_event_asleep = kNeverCycle;
     };
     Derived derive() const;
     /** Restore: set the derived fields from derive(), reserving a
      *  link no further than its depth. */
     void rebuildDerived();
+
+    /** Slot @p s's bits of the slot masks, from its own state. */
+    SlotMasks slotMasks(int s) const;
+    /** Bring slot @p s's mask bits up to date after it changed. */
+    void refreshSlot(int s);
+    /** Slots with no bound context. */
+    std::uint64_t
+    freeSlots() const
+    {
+        return (~std::uint64_t{0} >> (kMaxSlots - cfg_.num_slots)) &
+               ~(masks_.live | masks_.draining);
+    }
 
     // ----- per-phase helpers --------------------------------------
     void fetchPhase(Cycle c);
@@ -475,13 +514,17 @@ class MultithreadedProcessor
      * decode attempts. Returns c + 1 whenever the very next cycle
      * may do work and kNeverCycle when the machine is drained. With
      * @p sleep_aware a sleeping slot's repeated attempts count as
-     * no event before its wake_at.
+     * no event before its wake_at. A minimum over each source's
+     * maintained next event and the live slots' attempts; derive()
+     * keeps the full scan it equals.
      */
     Cycle nextEventCycle(Cycle c, bool sleep_aware = false) const;
+    /** The earliest schedule-unit event, from the units. */
+    Cycle unitsNext() const;
     /** Jump now_ to just before the next event (clamped to
-     *  @p stop), batch-applying the implicit priority rotations and
-     *  the sleeping slots' repeated attempts of the skipped
-     *  cycles. */
+     *  @p stop), batch-applying the implicit priority rotations of
+     *  the skipped cycles; sleeping slots count theirs from
+     *  slept_through. */
     void fastForward(Cycle stop);
 
     // decode helpers
@@ -505,9 +548,11 @@ class MultithreadedProcessor
     // sleeping slots (docs/PERF.md)
     /** Add @p times repetitions of @p stalls to the counters. */
     void addStalls(const StallCounts &stalls, std::uint64_t times);
-    /** Credit the slot's skipped attempts; it stays asleep. */
+    /** Credit the slot's skipped attempts through now_ (end of a
+     *  run call); it stays asleep. */
     void creditSleep(Slot &slot);
-    /** Credit and wake: the next decodeSlot makes a real attempt. */
+    /** Credit and wake, before the slot's decode turn in now_: its
+     *  next decodeSlot makes a real attempt. */
     void wakeSlot(Slot &slot);
 
     // grant-time execution
@@ -537,13 +582,15 @@ class MultithreadedProcessor
 
     // fetch helpers
     FetchPort &portOf(int slot_id);
+    /** Start the next sequential fetch for @p slot_id on its idle
+     *  port. */
+    void startFetch(int slot_id, Cycle c);
     Cycle scheduleRedirect(int slot_id, Addr target, Cycle earliest);
     void cancelFetches(int slot_id);
     /** Extra fetch cycles from instruction-cache misses. */
     Cycle icacheDelay(Addr addr, int words);
 
     // priority
-    bool slotActive(int slot_id) const;
     bool hasTopPriority(int slot_id) const;
     void rotateRing();
 
@@ -591,8 +638,20 @@ class MultithreadedProcessor
     /** Emit a state snapshot at the next run()/runUntil() entry. */
     bool snapshot_pending_ = false;
 
-    /** Reused per-cycle buffer (no per-cycle heap traffic). */
-    std::vector<Grant> grants_scratch_;
+    /** One schedule unit's grants of a cycle, with room for the
+     *  largest unit class. */
+    std::vector<Grant> grants_;
+
+    // ----- derived state (rebuilt on restore, docs/PERF.md) -------
+    SlotMasks masks_;
+    /** Frames Ready, Running or WaitRemote: the run is not done. */
+    int open_frames_ = 0;
+    /** Earliest pending queue-register push. */
+    Cycle push_next_ = kNeverCycle;
+    /** Earliest ready_at over the WaitRemote frames. */
+    Cycle remote_next_ = kNeverCycle;
+    /** Earliest schedule-unit event (latch or grant). */
+    Cycle units_next_ = kNeverCycle;
 
     /**
      * Issue-path stall counters, indexed by Stall, resolved once at

@@ -36,19 +36,13 @@ ScheduleUnit::submit(IssuedOp op)
     incoming_.push_back(std::move(op));
 }
 
-std::vector<Grant>
-ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order)
+std::span<Grant>
+ScheduleUnit::select(Cycle c, std::span<const int> priority_order,
+                     std::span<Grant> out)
 {
-    std::vector<Grant> grants;
-    select(c, priority_order, grants);
-    return grants;
-}
-
-void
-ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
-                     std::vector<Grant> &grants)
-{
-    grants.clear();
+    SMTSIM_ASSERT(out.size() >= units_.size(),
+                  "grant buffer smaller than the unit count");
+    std::size_t granted = 0;
 
     // Latch newly arriving instructions into their standby stations
     // (the rest keep their order).
@@ -95,9 +89,10 @@ ScheduleUnit::select(Cycle c, const std::vector<int> &priority_order,
         --standby_occupied_;
         units_[unit] =
             c + static_cast<Cycle>(opMeta(op.insn.op).issue_latency);
-        grants.push_back(Grant{std::move(op), unit});
+        out[granted++] = Grant{std::move(op), unit};
     }
     updateNextEvent();
+    return out.first(granted);
 }
 
 Cycle

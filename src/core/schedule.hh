@@ -16,6 +16,7 @@
 #define SMTSIM_CORE_SCHEDULE_HH
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "base/types.hh"
@@ -83,15 +84,16 @@ class ScheduleUnit
 
     /**
      * Run the selection for cycle @p c. @p priority_order lists the
-     * thread slots from highest to lowest priority.
+     * thread slots from highest to lowest priority. Grants are
+     * written to the front of @p out, which must hold numUnits()
+     * of them (one cycle grants each unit at most once); returns
+     * the written prefix.
      */
-    std::vector<Grant> select(Cycle c,
-                              const std::vector<int> &priority_order);
+    std::span<Grant> select(Cycle c, std::span<const int> priority_order,
+                            std::span<Grant> out);
 
-    /** Allocation-free variant: grants are appended to @p out
-     *  (cleared first) so the caller can reuse one buffer. */
-    void select(Cycle c, const std::vector<int> &priority_order,
-                std::vector<Grant> &out);
+    /** Functional units of this class. */
+    int numUnits() const { return static_cast<int>(units_.size()); }
 
     /**
      * Earliest cycle at which this unit can act on its current

@@ -1,4 +1,5 @@
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -326,5 +327,21 @@ TEST(CoreConfigValidation, BadShapesRejected)
         cfg.width = 0;
         EXPECT_THROW(MultithreadedProcessor cpu(m.prog, m.mem, cfg),
                      PanicError);
+    }
+}
+
+TEST(CoreConfigValidation, SlotLimitIsANamedError)
+{
+    Machine m("main: halt\n");
+    CoreConfig cfg;
+    cfg.num_slots = MultithreadedProcessor::kMaxSlots;
+    EXPECT_NO_THROW(MultithreadedProcessor cpu(m.prog, m.mem, cfg));
+    cfg.num_slots = MultithreadedProcessor::kMaxSlots + 1;
+    try {
+        MultithreadedProcessor cpu(m.prog, m.mem, cfg);
+        FAIL() << "65 slots accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "core: 65 thread slots exceed the limit of 64");
     }
 }

@@ -286,6 +286,18 @@ TEST(LabExecutor, OneBadPointDoesNotSinkTheSweep)
     EXPECT_THROW(rs.statsOf("bad"), std::runtime_error);
 }
 
+TEST(LabExecutor, TooManySlotsIsAJobError)
+{
+    CoreConfig wide;
+    wide.num_slots = 65;
+    const ResultSet rs =
+        runJobs({coreJob("wide", WorkloadSpec::matmul(6), wide)},
+                LabOptions{});
+    ASSERT_EQ(rs.failures(), 1u);
+    EXPECT_EQ(rs.results[0].error,
+              "core: 65 thread slots exceed the limit of 64");
+}
+
 TEST(LabExecutor, MaxCyclesOverrideClampsAndRekeys)
 {
     const Job job =

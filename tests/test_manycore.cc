@@ -422,3 +422,43 @@ TEST(ManyCore, AggregateSumsCoreCounters)
     EXPECT_EQ(agg.cycles, max_cycles);
     EXPECT_EQ(agg.cycles, mo.stats.cycles);
 }
+
+TEST(ManyCore, FastForwardMatchesTheNaiveLoop)
+{
+    // bench_manycore's coupled shape at 4 cores: the cores spend
+    // most cycles with every context parked on the interconnect, so
+    // the fast-forward loop jumps whole quanta and wakes contexts
+    // through completeRemote(). The naive per-cycle loop is the
+    // oracle; nextEventHint() picks the quanta of both runs.
+    MatmulParams mp;
+    mp.n = 8;
+    const Workload w = makeMatmul(mp);
+    MachineConfig cfg = coupledConfig(w, 4);
+    cfg.core.num_slots = 8;
+    cfg.core.num_frames = 10;
+    cfg.core.fus.load_store = 2;
+    cfg.noc.l2_access_cycles = 200;
+    cfg.noc.hop_latency = 8;
+
+    MachineConfig naive_cfg = cfg;
+    naive_cfg.core.fast_forward = false;
+    ManyCoreMachine naive(w.program, naive_cfg, initHook(w));
+    ManyCoreMachine ff(w.program, cfg, initHook(w));
+    const MachineStats sn = naive.run();
+    const MachineStats sf = ff.run();
+    ASSERT_TRUE(sf.finished);
+    EXPECT_TRUE(sn == sf);
+    EXPECT_EQ(toJson(sn).dump(), toJson(sf).dump());
+    // The parent commit's values: neither loop may move them.
+    EXPECT_EQ(sf.quanta, 268u);
+    EXPECT_EQ(sf.cycles, 58284u);
+    for (int c = 0; c < ff.numCores(); ++c) {
+        EXPECT_EQ(naive.core(c).detail().all(), ff.core(c).detail().all())
+            << "core " << c;
+    }
+    const MachineState a = captureState(naive, w);
+    const MachineState b = captureState(ff, w);
+    EXPECT_EQ(a.iregs, b.iregs);
+    EXPECT_EQ(a.fregs, b.fregs);
+    EXPECT_EQ(a.data, b.data);
+}
