@@ -19,10 +19,21 @@
  * data segment is the remote region), so the barrier/fold machinery
  * is on the measured path — an uncoupled machine would parallelize
  * trivially and measure nothing.
+ *
+ * BM_ManyCoreSetUp/16 is perfbench manycore's set-up sample on its
+ * own: instantiate matmul(8), build the 16-core machine, destroy it.
  */
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
+#include <memory>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
+#include "lab/spec.hh"
 #include "machine/manycore.hh"
 #include "workloads/workloads.hh"
 
@@ -111,5 +122,44 @@ BENCHMARK(BM_ManyCore)
     ->Args({64, 8})     // 512 logical processors
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+/**
+ * One iteration is perfbench manycore's set-up sample: instantiate
+ * matmul(8) through the lab, build the machine on the heap, destroy
+ * it. Whether a sample page-faults depends less on the constructor's
+ * work than on whether glibc trims the heap when the machine is
+ * freed (docs/PERF.md section 6): a free that leaves more than
+ * M_TRIM_THRESHOLD (128 KiB) free at the top of the heap gives it
+ * back to the kernel, and the next build faults it in again. So the
+ * row reports minor page faults per iteration and, under glibc, the
+ * free space at the top of the heap after the last destroy
+ * (mallinfo2().keepcost, in KiB).
+ */
+static void
+BM_ManyCoreSetUp(benchmark::State &state)
+{
+    const int cores = static_cast<int>(state.range(0));
+    rusage before{}, after{};
+    getrusage(RUSAGE_SELF, &before);
+    for (auto _ : state) {
+        const Workload w =
+            lab::instantiate(lab::WorkloadSpec::matmul(8));
+        auto m = std::make_unique<ManyCoreMachine>(
+            w.program, benchConfig(w, cores), [&w](int, MainMemory &mem) {
+                if (w.init)
+                    w.init(mem);
+            });
+        benchmark::DoNotOptimize(m.get());
+    }
+    getrusage(RUSAGE_SELF, &after);
+    state.counters["faults/iter"] = benchmark::Counter(
+        static_cast<double>(after.ru_minflt - before.ru_minflt),
+        benchmark::Counter::kAvgIterations);
+#ifdef __GLIBC__
+    state.counters["heap_top_KiB"] =
+        static_cast<double>(mallinfo2().keepcost) / 1024.0;
+#endif
+}
+BENCHMARK(BM_ManyCoreSetUp)->Arg(16)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -7,9 +7,7 @@
  * sequence printed here is the figure's pattern.
  */
 
-#include <array>
 #include <cstdio>
-#include <vector>
 
 #include "core/schedule.hh"
 
@@ -22,8 +20,7 @@ main()
     constexpr int kRotation = 4;    // rotate priorities every 4 cyc
 
     ScheduleUnit alu(FuClass::IntAlu, 1, kSlots);
-    std::vector<int> ring = {0, 1, 2};
-    std::array<Grant, 1> grant_buf;     // one grant per ALU
+    int top = 0;        // the ring's offset: slot top leads
 
     std::printf("Figure 4: rotating-priority selection "
                 "(3 thread slots, 1 ALU, rotation interval %d)\n\n",
@@ -37,24 +34,24 @@ main()
         // (instructions stream in continuously).
         for (int s = 0; s < kSlots; ++s) {
             if (!alu.slotBusy(s)) {
-                IssuedOp op;
+                IssuedOp &op = alu.station(s);
+                op = IssuedOp{};
                 op.insn.op = Op::ADD;
                 op.slot = s;
                 op.arrive = c;
-                alu.submit(std::move(op));
+                alu.submit(s, top);
             }
         }
-        const auto grants = alu.select(c, ring, grant_buf);
         std::printf("%5llu | %c > %c > %c      |",
-                    (unsigned long long)c, names[ring[0]],
-                    names[ring[1]], names[ring[2]]);
-        for (const Grant &g : grants)
-            std::printf(" %c", names[g.op.slot]);
+                    (unsigned long long)c, names[top],
+                    names[(top + 1) % kSlots], names[(top + 2) % kSlots]);
+        alu.select(c, top, [&](const IssuedOp &op, int) {
+            std::printf(" %c", names[op.slot]);
+        });
         std::printf("\n");
 
         if (c % kRotation == 0) {
-            ring.push_back(ring.front());
-            ring.erase(ring.begin());
+            top = (top + 1) % kSlots;
             std::printf("      | (rotate: lowest priority to the "
                         "previous top)\n");
         }

@@ -191,27 +191,6 @@ BM_Baseline(benchmark::State &state)
 }
 BENCHMARK(BM_Baseline);
 
-static void
-BM_Core(benchmark::State &state)
-{
-    const Program prog = benchKernel(true);
-    CoreConfig cfg;
-    cfg.num_slots = static_cast<int>(state.range(0));
-    cfg.fus.load_store = 2;
-    std::uint64_t cycles = 0, insns = 0;
-    for (auto _ : state) {
-        MainMemory mem;
-        prog.loadInto(mem);
-        MultithreadedProcessor cpu(prog, mem, cfg);
-        const RunStats s = cpu.run();
-        cycles += s.cycles;
-        insns += s.instructions;
-        benchmark::DoNotOptimize(s.cycles);
-    }
-    reportRates(state, cycles, insns);
-}
-BENCHMARK(BM_Core)->Arg(1)->Arg(4)->Arg(8);
-
 namespace
 {
 
@@ -230,17 +209,18 @@ class CountingSink : public obs::EventSink
     std::uint64_t count_ = 0;
 };
 
-/** Shared body of the tracing-overhead pair: the BM_Core/4 shape,
- *  with or without an event sink attached. scripts/
- *  check_bench_json.py --trace-guard asserts TraceOff stays within
- *  2% of BM_Core/4 (the disabled event layer must cost one dead
- *  branch per would-be event, nothing more). */
+/** Shared body of BM_Core and the tracing-overhead pair: the dense
+ *  kernel on @p slots slots, with or without an event sink attached.
+ *  scripts/check_bench_json.py --trace-guard asserts TraceOff stays
+ *  within 2% of BM_Core/4 (the disabled event layer must cost one
+ *  dead branch per would-be event, nothing more); the two rows run
+ *  this one function with the same arguments. */
 void
-runCoreTraceBench(benchmark::State &state, bool traced)
+runCoreBench(benchmark::State &state, int slots, bool traced)
 {
     const Program prog = benchKernel(true);
     CoreConfig cfg;
-    cfg.num_slots = 4;
+    cfg.num_slots = slots;
     cfg.fus.load_store = 2;
     std::uint64_t cycles = 0, insns = 0;
     for (auto _ : state) {
@@ -262,16 +242,23 @@ runCoreTraceBench(benchmark::State &state, bool traced)
 } // namespace
 
 static void
+BM_Core(benchmark::State &state)
+{
+    runCoreBench(state, static_cast<int>(state.range(0)), false);
+}
+BENCHMARK(BM_Core)->Arg(1)->Arg(4)->Arg(8);
+
+static void
 BM_CoreTraceOff(benchmark::State &state)
 {
-    runCoreTraceBench(state, false);
+    runCoreBench(state, 4, false);
 }
 BENCHMARK(BM_CoreTraceOff);
 
 static void
 BM_CoreTraceOn(benchmark::State &state)
 {
-    runCoreTraceBench(state, true);
+    runCoreBench(state, 4, true);
 }
 BENCHMARK(BM_CoreTraceOn);
 

@@ -22,8 +22,12 @@ each ratio taken within one file, so they hold on any host):
                  stepping (BM_Interpreter).
   --trace-guard  the core with its event sink detached
                  (BM_CoreTraceOff) costs at most SMTSIM_BENCH_TRACE_PCT
-                 (default 2) percent more CPU time than BM_Core/4.
-                 Uses the _median rows of a repeated run when present.
+                 (default 2) percent more CPU time than BM_Core/4,
+                 comparing each row's minimum over the repetitions of
+                 an interleaved run; each row needs at least
+                 TRACE_REPS of them. Other tenants and frequency
+                 changes only ever add time, so the minimum is the
+                 steadiest estimate of a row's own cost.
   --mc-eff       the 16-core machine on 4 host threads
                  (BM_ManyCore/16/4/real_time) reaches at least
                  SMTSIM_BENCH_MC_EFF (default 0.3) parallel efficiency,
@@ -42,6 +46,7 @@ import sys
 
 STAMP = ("smtsim_build_type", "smtsim_git_sha", "smtsim_compiler",
          "smtsim_nproc")
+TRACE_REPS = 15
 
 
 def unique_keys(pairs):
@@ -79,6 +84,21 @@ def rows(doc, *names):
         raise ValueError("row %s missing" % missing)
 
 
+def minima(doc, names, at_least):
+    """Each row's least cpu_time over its repetitions (aggregate rows
+    skipped); a row with fewer than at_least is an error."""
+    times = {n: [] for n in names}
+    for b in doc.get("benchmarks", []):
+        if b.get("run_type", "iteration") == "iteration" and \
+                b.get("name") in times:
+            times[b["name"]].append(b["cpu_time"])
+    for name in names:
+        if len(times[name]) < at_least:
+            raise ValueError("row %s has %d repetitions, needs %d"
+                             % (name, len(times[name]), at_least))
+    return [min(times[n]) for n in names]
+
+
 def fast_floor(path, doc):
     need = limit("SMTSIM_BENCH_FAST_X", "3")
     if need is None:
@@ -100,11 +120,10 @@ def trace_guard(path, doc):
     if pct is None:
         print("tracing-overhead guard skipped", file=sys.stderr)
         return None
-    base, off = (r["cpu_time"] for r in
-                 rows(doc, "BM_Core/4", "BM_CoreTraceOff"))
+    base, off = minima(doc, ("BM_Core/4", "BM_CoreTraceOff"), TRACE_REPS)
     over = 100.0 * (off / base - 1.0)
-    print("tracing disabled: %+.2f%% vs BM_Core/4" % over,
-          file=sys.stderr)
+    print("tracing disabled: %+.2f%% vs BM_Core/4 (minima of %d+ "
+          "repetitions)" % (over, TRACE_REPS), file=sys.stderr)
     if over > pct:
         return "%s: tracing-disabled overhead %.2f%% exceeds %.1f%% " \
                "(event emission must hide behind a null-sink check)" \

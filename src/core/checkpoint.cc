@@ -20,7 +20,9 @@
  * layout change.
  */
 
+#include <bit>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -141,9 +143,20 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
                  "instruction does not match the program text");
         return op;
     };
-    auto queueReg = [&](const char *name, auto &reg) {
+    // A queue mapping travels as an optional register: one file's
+    // half of the context's mask (flatReg() bits from @p first).
+    auto queueReg = [&](const char *name, auto &mask, int first) {
+        const std::uint64_t half = (mask >> first) & 0xffffffffu;
+        std::optional<RegIndex> reg;
+        if (half != 0)
+            reg = static_cast<RegIndex>(std::countr_zero(half));
         ar(name, reg);
-        ar.check(!reg || *reg < kNumRegs, "bad queue-register mapping");
+        if constexpr (Ar::kLoading) {
+            ar.check(!reg || (*reg < kNumRegs && (first > 0 || *reg > 0)),
+                     "bad queue-register mapping");
+            mask = (mask & ~(std::uint64_t{0xffffffffu} << first)) |
+                   (reg ? std::uint64_t{1} << (*reg + first) : 0);
+        }
     };
 
     ar.expect(kCheckpointMagic, "checkpoint magic");
@@ -157,10 +170,10 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         ar("resume_pc", ctx.resume_pc);
         ar("iregs", ctx.iregs);
         ar("fregs", ctx.fregs);
-        queueReg("q_read_int", ctx.q_read_int);
-        queueReg("q_write_int", ctx.q_write_int);
-        queueReg("q_read_fp", ctx.q_read_fp);
-        queueReg("q_write_fp", ctx.q_write_fp);
+        queueReg("q_read_int", ctx.q_reads, 0);
+        queueReg("q_write_int", ctx.q_writes, 0);
+        queueReg("q_read_fp", ctx.q_reads, kNumRegs);
+        queueReg("q_write_fp", ctx.q_writes, kNumRegs);
         ar.list("replay", ctx.replay, [&](auto &e) {
             ar("insn", e.insn);
             ar("pc", e.pc);
@@ -191,12 +204,14 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         // Integer then FP scoreboard, the flat array's own order.
         ar("sb", slot.sb);
         ar("wb_ring", slot.wb_ring);
-        // Sleeping is not state: the restored slot simply makes its
-        // next decode attempt, which the restored counters already
-        // account up to.
-        if constexpr (Ar::kLoading)
-            slot.asleep = false;
     });
+    // Sleeping is not state: a restored slot simply makes its next
+    // decode attempt, which the restored counters already account
+    // up to.
+    if constexpr (Ar::kLoading) {
+        cpu.asleep_ = 0;
+        cpu.wake_next_ = kNeverCycle;
+    }
 
     ar.shape("fetch-port", cpu.ports_, [&](auto &port) {
         ar("free_at", port.free_at);
@@ -226,13 +241,24 @@ MultithreadedProcessor::transfer(Ar &ar, Self &cpu)
         ar("value", push.value);
     });
 
+    // The ring as its slot list, highest priority first; every
+    // rotation keeps it a rotation of the slots, so a reader takes
+    // its first slot as the offset.
+    std::vector<int> ring(static_cast<std::size_t>(nslots));
+    for (int i = 0; i < nslots; ++i)
+        ring[i] = (cpu.ring_top_ + i) % nslots;
     std::vector<bool> ranked(static_cast<std::size_t>(nslots));
-    ar.shape("priority-ring", cpu.ring_, [&](auto &s) {
+    int place = 0;
+    ar.shape("priority-ring", ring, [&](auto &s) {
         ar("slot", s);
         ar.check(s >= 0 && s < nslots && !ranked[s],
                  "priority ring is not a permutation of the slots");
         ranked[s] = true;
+        ar.check(s == (ring[0] + place++) % nslots,
+                 "priority ring is not a rotation of the slots");
     });
+    if constexpr (Ar::kLoading)
+        cpu.ring_top_ = ring[0];
     ar("rotate_requested", cpu.rotate_requested_);
     // SETRMODE mutates the rotation mode/interval at runtime, so
     // the live values are state, not configuration.

@@ -54,6 +54,8 @@ MultithreadedProcessor::derive() const
             d.remote_next = std::min(d.remote_next, ctx.ready_at);
     }
     d.units_next = unitsNext();
+    for (std::uint64_t m = asleep_; m != 0; m &= m - 1)
+        d.wake_next = std::min(d.wake_next, slots_[std::countr_zero(m)].wake_at);
 
     // The full scan nextEventCycle(now_, sleep_aware) equals.
     const Cycle c = now_;
@@ -82,7 +84,7 @@ MultithreadedProcessor::derive() const
                 ev = std::min(ev, std::max(c + 1, port.free_at));
             }
             if (!slot.window.empty()) {
-                const Cycle attempt = sleep_aware && slot.asleep
+                const Cycle attempt = sleep_aware && asleep(s)
                                           ? slot.wake_at
                                           : slot.d2_allowed;
                 ev = std::min(ev, std::max(c + 1, attempt));
@@ -144,8 +146,8 @@ MultithreadedProcessor::checkInvariants() const
     std::vector<std::uint64_t> writes(slots_.size());
     for (const ScheduleUnit &su : sched_units_) {
         const char *cls = fuClassName(su.fuClass());
-        check(su.consistent(), "schedule unit ", cls,
-              ": next event out of date");
+        const std::string unit_why = su.consistency(now_);
+        check(unit_why.empty(), "schedule unit ", cls, ": ", unit_why);
         su.forEachOp([&](const IssuedOp &op) {
             const CoreOp &cop = text_.op(op.pc);
             check(cop.fu == su.fuClass(), "schedule unit ", cls,
@@ -184,6 +186,13 @@ MultithreadedProcessor::checkInvariants() const
     maskCheck("live", masks_.live, d.masks.live);
     maskCheck("draining", masks_.draining, d.masks.draining);
     maskCheck("wants-fetch", masks_.wants_fetch, d.masks.wants_fetch);
+    // A sleeper is a live slot of a fast-forwarding core.
+    maskCheck("asleep", asleep_,
+              cfg_.fast_forward ? asleep_ & masks_.live : 0);
+    for (int k = 0; k < kNumStalls; ++k) {
+        check(stalls_[k] == 0, "stall counter ", k, ": ", stalls_[k],
+              " increments not published");
+    }
 
     // Each event source's maintained next event, then the minimum
     // over them against the full scan.
@@ -195,6 +204,8 @@ MultithreadedProcessor::checkInvariants() const
           remote_next_, " but the earliest ready_at is ", d.remote_next);
     check(units_next_ == d.units_next, "schedule units: next event ",
           units_next_, " but the earliest is ", d.units_next);
+    check(wake_next_ <= d.wake_next, "sleepers: wake bound ",
+          wake_next_, " but the earliest wake_at is ", d.wake_next);
     check(nextEventCycle(now_) == d.next_event, "next event ",
           nextEventCycle(now_), " but the full scan finds ", d.next_event);
     check(nextEventCycle(now_, true) == d.next_event_asleep,
@@ -226,10 +237,7 @@ MultithreadedProcessor::checkInvariants() const
         check(ring_regs_.reserved(s) == d.reserved[s], "queue link ", s,
               ": ", ring_regs_.reserved(s), " reservations for ",
               d.reserved[s], " queue writes in flight");
-        check(!slot.asleep || (slot.frame >= 0 && !slot.trap_pending &&
-                               !slot.window.empty() && cfg_.fast_forward),
-              "slot ", s, ": asleep without a window to retry");
-        check(!slot.asleep || slot.slept_through == now_, "slot ", s,
+        check(!asleep(s) || slot.slept_through == now_, "slot ", s,
               ": attempts after cycle ", slot.slept_through,
               " not credited");
 

@@ -14,19 +14,9 @@ namespace smtsim
 namespace
 {
 
-/** A context's integer and FP queue mappings (one direction) as
- *  flatReg() bits. */
-std::uint64_t
-mapMask(const std::optional<RegIndex> &int_reg,
-        const std::optional<RegIndex> &fp_reg)
-{
-    std::uint64_t m = 0;
-    if (int_reg)
-        m |= std::uint64_t{1} << *int_reg;
-    if (fp_reg)
-        m |= std::uint64_t{1} << (*fp_reg + kNumRegs);
-    return m;
-}
+/** The integer register file's flatReg() bits; the FP file's are
+ *  the rest. */
+constexpr std::uint64_t kIntRegBits = 0xffffffffu;
 
 } // namespace
 
@@ -59,10 +49,8 @@ MultithreadedProcessor::MultithreadedProcessor(const Program &prog,
 
     contexts_.resize(cfg_.frames());
     slots_.resize(cfg_.num_slots);
-    for (int s = 0; s < cfg_.num_slots; ++s) {
+    for (int s = 0; s < cfg_.num_slots; ++s)
         slots_[s].iqueue.init(cfg_.iqueueWords());
-        ring_.push_back(s);
-    }
 
     for (int cls = 0; cls < kNumFuClasses; ++cls) {
         const FuClass fc = static_cast<FuClass>(cls);
@@ -268,22 +256,6 @@ MultithreadedProcessor::refreshSlot(int s)
     masks_.wants_fetch = (masks_.wants_fetch & keep) | m.wants_fetch;
 }
 
-MultithreadedProcessor::Context &
-MultithreadedProcessor::ctxOf(int slot_id)
-{
-    const int frame = slots_[slot_id].frame;
-    SMTSIM_ASSERT(frame >= 0, "slot has no bound context");
-    return contexts_[frame];
-}
-
-const MultithreadedProcessor::Context &
-MultithreadedProcessor::ctxOf(int slot_id) const
-{
-    const int frame = slots_[slot_id].frame;
-    SMTSIM_ASSERT(frame >= 0, "slot has no bound context");
-    return contexts_[frame];
-}
-
 // ---------------------------------------------------------------
 // Priority handling
 // ---------------------------------------------------------------
@@ -291,21 +263,20 @@ MultithreadedProcessor::ctxOf(int slot_id) const
 bool
 MultithreadedProcessor::hasTopPriority(int slot_id) const
 {
-    // A live slot's context is running (checkInvariants()).
-    for (int s : ring_) {
-        if ((masks_.live >> s) & 1)
-            return s == slot_id;
-    }
-    return false;
+    // The first live slot in ring order (a live slot's context is
+    // running, checkInvariants()).
+    const std::uint64_t order = std::rotr(masks_.live, ring_top_);
+    return order != 0 &&
+           ((std::countr_zero(order) + ring_top_) & 63) == slot_id;
 }
 
 void
-MultithreadedProcessor::rotateRing()
+MultithreadedProcessor::rotateRing(std::uint64_t by)
 {
-    if (ring_.size() > 1) {
-        ring_.push_back(ring_.front());
-        ring_.erase(ring_.begin());
-    }
+    // The old top drops to the bottom: slot top+by leads.
+    ring_top_ = static_cast<int>(
+        (static_cast<std::uint64_t>(ring_top_) + by) %
+        static_cast<std::uint64_t>(cfg_.num_slots));
 }
 
 // ---------------------------------------------------------------
@@ -321,9 +292,9 @@ MultithreadedProcessor::operandsReady(int slot_id, const Context &ctx,
     // scoreboarded register.
     std::uint64_t regs = op.srcs;
     int pops = 0;
-    if (ctx.q_read_int || ctx.q_read_fp) {
+    if (ctx.q_reads != 0) {
         pops = queuePopCount(ctx, op);
-        regs &= ~mapMask(ctx.q_read_int, ctx.q_read_fp);
+        regs &= ~ctx.q_reads;
     }
     if (regs & pending_writes)
         return false;
@@ -341,17 +312,16 @@ int
 MultithreadedProcessor::queuePopCount(const Context &ctx,
                                       const CoreOp &op) const
 {
-    const std::uint64_t mapped = mapMask(ctx.q_read_int, ctx.q_read_fp);
     int pops = 0;
     for (int i = 0; i < op.nsrc; ++i)
-        pops += static_cast<int>((mapped >> flatReg(op.src[i])) & 1);
+        pops += static_cast<int>((ctx.q_reads >> flatReg(op.src[i])) & 1);
     return pops;
 }
 
 OperandValues
-MultithreadedProcessor::readOperands(int slot_id, const Insn &insn)
+MultithreadedProcessor::readOperands(int slot_id, Context &ctx,
+                                     const Insn &insn)
 {
-    Context &ctx = ctxOf(slot_id);
     auto q_pop = [&]() -> std::uint64_t {
         const std::uint64_t v = ring_regs_.pop(slot_id);
         if (sink_) {
@@ -365,12 +335,12 @@ MultithreadedProcessor::readOperands(int slot_id, const Insn &insn)
         return v;
     };
     auto rd_int = [&](RegIndex r) -> std::uint32_t {
-        if (ctx.q_read_int && *ctx.q_read_int == r && r != 0)
+        if ((ctx.q_reads >> r) & 1)
             return static_cast<std::uint32_t>(q_pop());
         return r == 0 ? 0 : ctx.iregs[r];
     };
     auto rd_fp = [&](RegIndex r) -> double {
-        if (ctx.q_read_fp && *ctx.q_read_fp == r)
+        if ((ctx.q_reads >> (r + kNumRegs)) & 1)
             return std::bit_cast<double>(q_pop());
         return ctx.fregs[r];
     };
@@ -524,7 +494,7 @@ MultithreadedProcessor::fetchPhase(Cycle c)
             // New words reach a sleeping slot's window only through
             // free window space.
             if (static_cast<int>(slot.window.size()) < cfg_.width)
-                wakeSlot(slot);
+                wakeSlot(it->slot);
             const int n = std::min(slot.iqueue.space(), it->words);
             for (int k = 0; k < n; ++k) {
                 const Addr a =
@@ -547,7 +517,7 @@ MultithreadedProcessor::fetchPhase(Cycle c)
                 slot.fetch_addr =
                     it->addr + static_cast<Addr>(n) * kInsnBytes;
             }
-            refreshSlot(it->slot);
+            refreshFetch(it->slot);
         }
         port.inflight.erase(port.inflight.begin(), it);
     }
@@ -591,7 +561,7 @@ MultithreadedProcessor::startFetch(int slot_id, Cycle c)
     port.inflight.push_back(op);
     port.free_at = op.done_at;
     port.rr_next = (slot_id + 1) % cfg_.num_slots;
-    refreshSlot(slot_id);
+    refreshFetch(slot_id);
 }
 
 // ---------------------------------------------------------------
@@ -602,7 +572,7 @@ void
 MultithreadedProcessor::flushFrontEnd(int slot_id)
 {
     Slot &slot = slots_[slot_id];
-    wakeSlot(slot);
+    wakeSlot(slot_id);
     slot.iqueue.clear();
     slot.window.clear();
     cancelFetches(slot_id);
@@ -616,7 +586,7 @@ MultithreadedProcessor::bindContext(int frame, int slot_id, Cycle c)
     SMTSIM_ASSERT(slot.frame < 0, "binding to an occupied slot");
     Context &ctx = contexts_[frame];
 
-    wakeSlot(slot);
+    wakeSlot(slot_id);
     slot.frame = frame;
     slot.trap_pending = false;
     slot.iqueue.clear();
@@ -734,17 +704,15 @@ MultithreadedProcessor::killOtherThreads(int killer_slot)
 // ---------------------------------------------------------------
 
 void
-MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
-                                    bool is_fp, std::uint32_t ival,
-                                    double fval, Cycle clear_at)
+MultithreadedProcessor::writeResult(Slot &slot, Context &ctx,
+                                    const IssuedOp &op, bool is_fp,
+                                    std::uint32_t ival, double fval,
+                                    Cycle clear_at)
 {
-    Slot &slot = slots_[slot_id];
-    Context &ctx = ctxOf(slot_id);
-
     if (op.queue_write) {
         PendingPush push;
         push.at = clear_at;
-        push.slot = slot_id;
+        push.slot = op.slot;
         push.value = is_fp ? std::bit_cast<std::uint64_t>(fval)
                            : std::uint64_t{ival};
         pending_pushes_.push_back(push);
@@ -760,8 +728,10 @@ MultithreadedProcessor::writeResult(int slot_id, const IssuedOp &op,
             ctx.iregs[dst.idx] = ival;
         const int reg = flatReg(dst);
         slot.sb[reg] = clear_at;
-        if (slot.asleep && ((slot.watched >> reg) & 1))
+        if (asleep(op.slot) && ((slot.watched >> reg) & 1)) {
             slot.wake_at = std::min(slot.wake_at, clear_at);
+            wake_next_ = std::min(wake_next_, clear_at);
+        }
 
         // Each register bank has one write port; two results
         // retiring in the same cycle for one slot is a structural
@@ -785,7 +755,7 @@ MultithreadedProcessor::takeRemoteTrap(const IssuedOp &op, Cycle c,
                                        Addr addr)
 {
     Slot &slot = slots_[op.slot];
-    Context &ctx = ctxOf(op.slot);
+    Context &ctx = contexts_[slot.frame];
     SMTSIM_ASSERT(!op.queue_write,
                   "remote access with queue-register destination");
 
@@ -821,20 +791,20 @@ MultithreadedProcessor::takeRemoteTrap(const IssuedOp &op, Cycle c,
 }
 
 void
-MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
+MultithreadedProcessor::performGrant(const IssuedOp &op, int unit,
+                                     Cycle c)
 {
-    const IssuedOp &op = grant.op;
     Slot &slot = slots_[op.slot];
     const OpMeta &meta = opMeta(op.insn.op);
     const int cls = static_cast<int>(meta.fu);
 
     if (slot.wake_on_grant)
-        wakeSlot(slot);
+        wakeSlot(op.slot);
     slot.ungranted &= static_cast<std::uint8_t>(~(1u << cls));
 
     ++stats_.fu_grants[cls];
     stats_.fu_busy[cls] += meta.issue_latency;
-    stats_.unit_busy[cls][grant.unit] += meta.issue_latency;
+    stats_.unit_busy[cls][unit] += meta.issue_latency;
 
     if (sink_) {
         obs::Event ev;
@@ -842,13 +812,14 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
         ev.kind = obs::EventKind::Grant;
         ev.slot = static_cast<std::int8_t>(op.slot);
         ev.fu = static_cast<std::int8_t>(cls);
-        ev.unit = static_cast<std::int16_t>(grant.unit);
+        ev.unit = static_cast<std::int16_t>(unit);
         ev.pc = op.pc;
         ev.insn = encode(op.insn);
         sink_->event(ev);
     }
 
-    Context &ctx = ctxOf(op.slot);
+    // A slot holding an ungranted op is bound (checkInvariants()).
+    Context &ctx = contexts_[slot.frame];
 
     if (op.insn.isMem()) {
         const Addr addr =
@@ -895,13 +866,13 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
 
         switch (op.insn.op) {
           case Op::LW:
-            writeResult(op.slot, op, false, mem_.read32(addr), 0.0,
+            writeResult(slot, ctx, op, false, mem_.read32(addr), 0.0,
                         c + result_lat);
             ++stats_.loads;
             break;
           case Op::LF:
-            writeResult(op.slot, op, true, 0,
-                        mem_.readDouble(addr), c + result_lat);
+            writeResult(slot, ctx, op, true, 0, mem_.readDouble(addr),
+                        c + result_lat);
             ++stats_.loads;
             break;
           case Op::SW:
@@ -923,7 +894,7 @@ MultithreadedProcessor::performGrant(const Grant &grant, Cycle c)
         }
     } else {
         const DataResult r = execDataOp(op.insn, op.ops);
-        writeResult(op.slot, op, r.is_fp, r.ival, r.fval,
+        writeResult(slot, ctx, op, r.is_fp, r.ival, r.fval,
                     c + static_cast<Cycle>(meta.result_latency));
     }
 
@@ -960,21 +931,20 @@ MultithreadedProcessor::schedulePhase(Cycle c)
 
     if (units_next_ > c)
         return;
-    if (grants_.empty()) {
-        // Sized on first use, as construction must stay as cheap as
-        // it was (docs/PERF.md section 6).
-        int most = 1;
-        for (const ScheduleUnit &su : sched_units_)
-            most = std::max(most, su.numUnits());
-        grants_.resize(static_cast<std::size_t>(most));
-    }
+    // A grant changes no unit but its own, so one pass both selects
+    // and finds the next event.
+    Cycle next = kNeverCycle;
     for (ScheduleUnit &su : sched_units_) {
-        if (su.nextEventCycle() > c)
-            continue;       // select() would latch and grant nothing
-        for (const Grant &grant : su.select(c, ring_, grants_))
-            performGrant(grant, c);
+        // select() for an earlier cycle would latch and grant nothing.
+        if (su.nextEventCycle() <= c) {
+            su.select(c, ring_top_,
+                      [this, c](const IssuedOp &op, int unit) {
+                          performGrant(op, unit, c);
+                      });
+        }
+        next = std::min(next, su.nextEventCycle());
     }
-    units_next_ = unitsNext();
+    units_next_ = next;
 }
 
 Cycle
@@ -1034,25 +1004,24 @@ MultithreadedProcessor::contextPhase(Cycle c)
 // ---------------------------------------------------------------
 
 MultithreadedProcessor::ControlOutcome
-MultithreadedProcessor::handleControl(int slot_id,
+MultithreadedProcessor::handleControl(int slot_id, Context &ctx,
                                       const WindowEntry &entry,
                                       Cycle c, StallCounts &stalls)
 {
     Slot &slot = slots_[slot_id];
-    Context &ctx = ctxOf(slot_id);
     const CoreOp &cop = *entry.op;
     const Insn &insn = cop.insn;
 
     if (cop.branch) {
         if (!operandsReady(slot_id, ctx, cop, c, 0)) {
-            ++stalls[StallBranchOperands];
+            countStall(stalls, StallBranchOperands);
             return ControlOutcome::Blocked;
         }
         // Link-writing jumps (JAL, JALR rd) respect the
         // write-after-write interlock on their destination.
         if (cop.dsts && slot.sb[flatReg(cop.dst)] > c)
             return ControlOutcome::Blocked;
-        const OperandValues ops = readOperands(slot_id, insn);
+        const OperandValues ops = readOperands(slot_id, ctx, insn);
         Addr next = entry.pc + kInsnBytes;
         switch (insn.op) {
           case Op::J:
@@ -1166,10 +1135,8 @@ MultithreadedProcessor::handleControl(int slot_id,
                 break;
             contexts_[frame].iregs = ctx.iregs;
             contexts_[frame].fregs = ctx.fregs;
-            contexts_[frame].q_read_int = ctx.q_read_int;
-            contexts_[frame].q_write_int = ctx.q_write_int;
-            contexts_[frame].q_read_fp = ctx.q_read_fp;
-            contexts_[frame].q_write_fp = ctx.q_write_fp;
+            contexts_[frame].q_reads = ctx.q_reads;
+            contexts_[frame].q_writes = ctx.q_writes;
             contexts_[frame].resume_pc = entry.pc + kInsnBytes;
             contexts_[frame].state = CtxState::Ready;
             ++open_frames_;
@@ -1187,14 +1154,14 @@ MultithreadedProcessor::handleControl(int slot_id,
       }
       case Op::CHGPRI:
         if (!hasTopPriority(slot_id)) {
-            ++stalls[StallPriority];
+            countStall(stalls, StallPriority);
             return ControlOutcome::Blocked;
         }
         rotate_requested_ = true;
         break;
       case Op::KILLT:
         if (!hasTopPriority(slot_id)) {
-            ++stalls[StallPriority];
+            countStall(stalls, StallPriority);
             return ControlOutcome::Blocked;
         }
         // The kill point is timing-dependent: the victims' record
@@ -1212,7 +1179,7 @@ MultithreadedProcessor::handleControl(int slot_id,
         if (cop.dsts) {
             Cycle &sb = slot.sb[flatReg(cop.dst)];
             if (sb > c) {
-                ++stalls[StallWaw];
+                countStall(stalls, StallWaw);
                 return ControlOutcome::Blocked;
             }
             ctx.iregs[cop.dst.idx] =
@@ -1225,20 +1192,22 @@ MultithreadedProcessor::handleControl(int slot_id,
       case Op::QEN:
         if (insn.rs == 0 || insn.rt == 0 || insn.rs == insn.rt)
             fatal("qen: bad register pair");
-        ctx.q_read_int = insn.rs;
-        ctx.q_write_int = insn.rt;
+        ctx.q_reads = (ctx.q_reads & ~kIntRegBits) |
+                      std::uint64_t{1} << insn.rs;
+        ctx.q_writes = (ctx.q_writes & ~kIntRegBits) |
+                       std::uint64_t{1} << insn.rt;
         break;
       case Op::QENF:
         if (insn.rs == insn.rt)
             fatal("qenf: read and write register identical");
-        ctx.q_read_fp = insn.rs;
-        ctx.q_write_fp = insn.rt;
+        ctx.q_reads = (ctx.q_reads & kIntRegBits) |
+                      std::uint64_t{1} << (insn.rs + kNumRegs);
+        ctx.q_writes = (ctx.q_writes & kIntRegBits) |
+                       std::uint64_t{1} << (insn.rt + kNumRegs);
         break;
       case Op::QDIS:
-        ctx.q_read_int.reset();
-        ctx.q_write_int.reset();
-        ctx.q_read_fp.reset();
-        ctx.q_write_fp.reset();
+        ctx.q_reads = 0;
+        ctx.q_writes = 0;
         break;
       case Op::SETRMODE:
         rotation_mode_ = insn.rt == 1 ? RotationMode::Explicit
@@ -1265,43 +1234,67 @@ MultithreadedProcessor::handleControl(int slot_id,
 }
 
 void
-MultithreadedProcessor::addStalls(const StallCounts &stalls,
-                                  std::uint64_t times)
+MultithreadedProcessor::addStalls(StallCounts stalls, std::uint64_t times)
 {
-    for (int k = 0; k < kNumStalls; ++k)
-        *stall_[k] += stalls[k] * times;
-    stats_.standby_stalls +=
-        (stalls[StallStandby] + stalls[StallNoStandby]) * times;
+    for (; stalls != 0; stalls &= stalls - 1) {
+        const int bit = std::countr_zero(stalls);
+        stalls_[bit / 8] += (std::uint64_t{1} << (bit % 8)) * times;
+    }
 }
 
 void
-MultithreadedProcessor::creditSleep(Slot &slot)
+MultithreadedProcessor::publishStalls()
 {
-    if (!slot.asleep || slot.slept_through == now_)
+    for (int k = 0; k < kNumStalls; ++k)
+        *stall_[k] += stalls_[k];
+    stats_.standby_stalls +=
+        stalls_[StallStandby] + stalls_[StallNoStandby];
+    stalls_.fill(0);
+}
+
+void
+MultithreadedProcessor::creditSleep(int slot_id)
+{
+    Slot &slot = slots_[slot_id];
+    if (!asleep(slot_id) || slot.slept_through == now_)
         return;
     addStalls(slot.sleep_stalls, now_ - slot.slept_through);
     slot.slept_through = now_;
 }
 
 void
-MultithreadedProcessor::wakeSlot(Slot &slot)
+MultithreadedProcessor::wakeSleeper(int slot_id)
 {
-    if (!slot.asleep)
-        return;
     // Every wake-up in cycle now_ comes before the slot's decode
     // turn (a KILLT victim ranks below the killer), so now_'s
     // attempt is not one of the skipped ones.
+    const Slot &slot = slots_[slot_id];
     if (now_ - 1 > slot.slept_through)
         addStalls(slot.sleep_stalls, now_ - 1 - slot.slept_through);
-    slot.asleep = false;
+    asleep_ &= ~(std::uint64_t{1} << slot_id);
+}
+
+void
+MultithreadedProcessor::wakeDue(Cycle c)
+{
+    wake_next_ = kNeverCycle;
+    for (std::uint64_t m = asleep_; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        const Cycle at = slots_[s].wake_at;
+        if (at <= c)
+            wakeSlot(s);
+        else
+            wake_next_ = std::min(wake_next_, at);
+    }
 }
 
 bool
 MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
 {
     Slot &slot = slots_[slot_id];
-    Context &ctx = ctxOf(slot_id);
-    StallCounts stalls{};
+    // A live slot is bound (checkInvariants()).
+    Context &ctx = contexts_[slot.frame];
+    StallCounts stalls = 0;
     int issues = 0;
     bool blocked = false;       // an older entry stays in the window
     bool mem_blocked = false;
@@ -1310,7 +1303,6 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
     std::uint64_t pending_reads = 0, pending_writes = 0;
     // Registers whose scoreboard entries decided this attempt.
     std::uint64_t watched = 0;
-    bool mapped = ctx.queueMapped();
 
     // Issued entries leave the window; the rest are compacted in
     // order as the scan goes.
@@ -1338,16 +1330,12 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             priority |= op.priority;
             watched |= op.srcs | op.dsts;
             const ControlOutcome outcome =
-                handleControl(slot_id, entry, c, stalls);
+                handleControl(slot_id, ctx, entry, c, stalls);
             if (outcome == ControlOutcome::Blocked)
                 break;
             ++issues;
-            if (outcome == ControlOutcome::Flushed) {
-                // The flush emptied the window.
-                addStalls(stalls, 1);
-                return false;
-            }
-            mapped = ctx.queueMapped();    // QEN/QENF/QDIS issued?
+            if (outcome == ControlOutcome::Flushed)
+                return false;   // the flush emptied the window
             continue;
         }
 
@@ -1357,7 +1345,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
         if (op.priority) {
             priority = true;
             if (!hasTopPriority(slot_id)) {
-                ++stalls[StallPriority];
+                countStall(stalls, StallPriority);
                 issuable = false;
             }
         }
@@ -1368,52 +1356,50 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
         if (issuable) {
             if (cfg_.standby_enabled) {
                 if (slot.ungranted & (1u << cls)) {
-                    ++stalls[StallStandby];
+                    countStall(stalls, StallStandby);
                     issuable = false;
                     grant_dep = true;
                 }
             } else if (slot.ungranted != 0) {
-                ++stalls[StallNoStandby];
+                countStall(stalls, StallNoStandby);
                 issuable = false;
                 grant_dep = true;
             }
         }
 
         if (issuable && op.mem && mem_blocked) {
-            ++stalls[StallMemorder];
+            countStall(stalls, StallMemorder);
             issuable = false;
         }
 
         // Queue-register reads dequeue, so they must stay in program
         // order: a younger pop may not overtake an older instruction
         // still waiting in the window.
-        if (issuable && blocked && mapped &&
+        if (issuable && blocked && ctx.q_reads != 0 &&
             queuePopCount(ctx, op) > 0) {
-            ++stalls[StallOperands];
+            countStall(stalls, StallOperands);
             issuable = false;
         }
 
         if (issuable &&
             !operandsReady(slot_id, ctx, op, c, pending_writes)) {
-            ++stalls[StallOperands];
+            countStall(stalls, StallOperands);
             issuable = false;
         }
 
-        const bool queue_write =
-            mapped &&
-            (op.dsts & mapMask(ctx.q_write_int, ctx.q_write_fp)) != 0;
+        const bool queue_write = (op.dsts & ctx.q_writes) != 0;
         if (issuable) {
             if (queue_write) {
                 // One write in flight per link keeps deposits in
                 // issue order.
                 if (blocked || ring_regs_.reserved(slot_id) > 0 ||
                     !ring_regs_.canReserve(slot_id)) {
-                    ++stalls[StallQueueFull];
+                    countStall(stalls, StallQueueFull);
                     issuable = false;
                 }
             } else if ((op.dsts & (pending_reads | pending_writes)) ||
                        (op.dsts && slot.sb[flatReg(op.dst)] > c)) {
-                ++stalls[StallWaw];
+                countStall(stalls, StallWaw);
                 issuable = false;
             }
         }
@@ -1430,12 +1416,14 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             continue;
         }
 
-        IssuedOp issued;
+        // The op is written once, into its standby station.
+        ScheduleUnit &su = sched_units_[cls];
+        IssuedOp &issued = su.station(slot_id);
         issued.insn = op.insn;
         issued.dst = op.dst;
         issued.pc = entry.pc;
         issued.slot = slot_id;
-        issued.ops = readOperands(slot_id, op.insn);
+        issued.ops = readOperands(slot_id, ctx, op.insn);
         issued.arrive = c + 1;
         issued.queue_write = queue_write;
 
@@ -1453,7 +1441,7 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
             ev.insn = encode(op.insn);
             sink_->event(ev);
         }
-        sched_units_[cls].submit(std::move(issued));
+        su.submit(slot_id, ring_top_);
         units_next_ = std::min(units_next_, c + 1);
         slot.ungranted |= static_cast<std::uint8_t>(1u << cls);
         ++issues;
@@ -1461,8 +1449,6 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
     for (; i < n; ++i)
         slot.window[keep++] = slot.window[i];
     slot.window.resize(keep);
-    if (stalls != StallCounts{})
-        addStalls(stalls, 1);
 
     // A fruitless attempt changed nothing, so the next one repeats
     // it exactly until an input changes: a watched scoreboard entry
@@ -1470,8 +1456,10 @@ MultithreadedProcessor::issueWindow(int slot_id, Cycle c)
     // bit (grant_dep), or the window is flushed, refilled or
     // rebound.
     // Queue mappings and the priority ring change without such an
-    // event; slots reading them stay awake.
-    if (issues > 0 || !cfg_.fast_forward || priority || mapped)
+    // event; slots reading them stay awake. So does a window too
+    // large for the packed increments.
+    if (issues > 0 || !cfg_.fast_forward || priority ||
+        (ctx.q_reads | ctx.q_writes) != 0 || n > 255)
         return false;
     Cycle wake = kNeverCycle;
     for (std::uint64_t m = watched; m != 0; m &= m - 1) {
@@ -1498,59 +1486,68 @@ MultithreadedProcessor::decodeSlot(int slot_id, Cycle c)
     // D1: move instructions from the queue unit into the window.
     if (!((masks_.live >> slot_id) & 1))
         return;
-    bool refilled = false;
-    while (static_cast<int>(slot.window.size()) < cfg_.width &&
-           !slot.iqueue.empty()) {
-        const Addr a = slot.iqueue.front();
-        slot.iqueue.pop();
-        slot.window.push_back(WindowEntry{&text_.op(a), a, false});
-        refilled = true;
+    const int room = std::min(
+        cfg_.width - static_cast<int>(slot.window.size()),
+        slot.iqueue.size());
+    if (room > 0) {
+        for (int k = 0; k < room; ++k) {
+            const Addr a = slot.iqueue.front();
+            slot.iqueue.pop();
+            slot.window.push_back(WindowEntry{&text_.op(a), a, false});
+        }
+        refreshFetch(slot_id);
+    } else if (fruitless) {
+        asleep_ |= std::uint64_t{1} << slot_id;
+        wake_next_ = std::min(wake_next_, slot.wake_at);
+    } else if (slot.window.empty() && cfg_.fast_forward) {
+        // Window and queue are empty: nothing to decode until a
+        // delivery, a flush or a bind wakes the slot, and no attempt
+        // to credit meanwhile.
+        slot.wake_at = kNeverCycle;
+        slot.watched = 0;
+        slot.wake_on_grant = false;
+        slot.sleep_stalls = 0;
+        slot.slept_through = c;
+        asleep_ |= std::uint64_t{1} << slot_id;
     }
-    if (refilled)
-        refreshSlot(slot_id);
-    slot.asleep = fruitless && !refilled;
 }
 
 void
 MultithreadedProcessor::decodePhase(Cycle c)
 {
     // Decode the live slots in current priority order; determinism
-    // matters for the queue-register network. A slot bound or
-    // unbound by an earlier one's FASTFORK or KILLT is seen as it is
-    // now. Nothing in this phase rotates the ring: CHGPRI only
-    // requests the rotation rotationPhase makes.
-    for (int s : ring_) {
-        if (!((masks_.live >> s) & 1))
-            continue;
-        Slot &slot = slots_[s];
-        if (slot.asleep) {
-            // The attempt would repeat the last one exactly.
-            if (c < slot.wake_at)
-                continue;
-            wakeSlot(slot);
-        }
-        decodeSlot(s, c);
-    }
+    // matters for the queue-register network. Nothing in this phase
+    // rotates the ring: CHGPRI only requests the rotation
+    // rotationPhase makes. A sleeping slot's attempt would repeat
+    // its last one exactly, so only the slots awake once the due
+    // sleepers wake are visited. A KILLT victim is skipped by the
+    // live test; a slot bound by an earlier one's FASTFORK is not
+    // visited, and has nothing to do: its refill bubble runs into
+    // the future and its instruction queue is empty.
+    if (wake_next_ <= c)
+        wakeDue(c);
+    ScheduleUnit::forEachSlot(masks_.live & ~asleep_, ring_top_,
+                              [&](int s) {
+                                  if ((masks_.live >> s) & 1)
+                                      decodeSlot(s, c);
+                              });
 }
 
 void
 MultithreadedProcessor::rotationPhase(Cycle c)
 {
-    bool rotated = false;
     const Cycle ival = static_cast<Cycle>(rotation_interval_);
     // Intervals are usually powers of two: mask instead of divide.
-    if (rotation_mode_ == RotationMode::Implicit && ival > 0 &&
+    const bool implicit =
+        rotation_mode_ == RotationMode::Implicit && ival > 0 &&
         ((ival & (ival - 1)) == 0 ? (c & (ival - 1)) == 0
-                                  : c % ival == 0)) {
-        rotateRing();
-        rotated = true;
-    }
-    if (rotate_requested_) {
-        rotateRing();
-        rotate_requested_ = false;
-        rotated = true;
-    }
-    if (rotated && sink_)
+                                  : c % ival == 0);
+    if (!implicit && !rotate_requested_)
+        return;
+    // One place each for the interval and for a CHGPRI request.
+    rotateRing(std::uint64_t{implicit} + rotate_requested_);
+    rotate_requested_ = false;
+    if (sink_)
         emitRing(c);
 }
 
@@ -1575,6 +1572,10 @@ Cycle
 MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
 {
     const Cycle soon = c + 1;
+    // Standby latches and grants, and queue-register deposits at the
+    // producer's write-back; in a busy core one is nearly always due.
+    if (units_next_ <= soon || push_next_ <= soon)
+        return soon;
     Cycle ev = kNeverCycle;
 
     // A non-empty window is (re)examined by D2 once the refill
@@ -1588,8 +1589,9 @@ MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
         const Slot &slot = slots_[std::countr_zero(m)];
         if (slot.window.empty())
             continue;
-        const Cycle attempt =
-            sleep_aware && slot.asleep ? slot.wake_at : slot.d2_allowed;
+        const Cycle attempt = sleep_aware && asleep(std::countr_zero(m))
+                                  ? slot.wake_at
+                                  : slot.d2_allowed;
         if (attempt <= soon)
             return soon;
         ev = std::min(ev, attempt);
@@ -1604,8 +1606,8 @@ MultithreadedProcessor::nextEventCycle(Cycle c, bool sleep_aware) const
     if (!ready_fifo_.empty() && freeSlots() != 0)
         return soon;
 
-    // Standby latches and grants, queue-register deposits at the
-    // producer's write-back, and context wake-ups.
+    // The rest of the schedule units' and deposits' events, and
+    // context wake-ups.
     ev = std::min({ev, units_next_, push_next_, remote_next_});
 
     // Fetch deliveries land at their done_at, each port's in order.
@@ -1643,17 +1645,16 @@ MultithreadedProcessor::fastForward(Cycle stop)
     // their skipped attempts from slept_through.
     const Cycle target = std::min(next, stop + 1);
     if (rotation_mode_ == RotationMode::Implicit &&
-        rotation_interval_ > 0 && ring_.size() > 1) {
+        rotation_interval_ > 0 && cfg_.num_slots > 1) {
         // Batch-apply the implicit rotations the skipped cycles
         // would have performed: one per multiple of the interval.
         const Cycle ival = static_cast<Cycle>(rotation_interval_);
         const std::uint64_t rotations =
             (target - 1) / ival - now_ / ival;
-        const std::size_t r = rotations % ring_.size();
+        const std::uint64_t r =
+            rotations % static_cast<std::uint64_t>(cfg_.num_slots);
         if (r > 0) {
-            std::rotate(ring_.begin(),
-                        ring_.begin() + static_cast<long>(r),
-                        ring_.end());
+            rotateRing(r);
             if (sink_)
                 emitRing(target - 1);
         }
@@ -1683,7 +1684,9 @@ MultithreadedProcessor::runUntil(Cycle stop)
     // streams stay as they were.
     bool may_jump = cfg_.fast_forward && sink_ == nullptr;
     while (now_ < stop) {
-        if (may_jump) {
+        // A schedule-unit event or a deposit due in the next cycle
+        // leaves nothing to skip; in a busy core one nearly always is.
+        if (may_jump && units_next_ > now_ + 1 && push_next_ > now_ + 1) {
             fastForward(stop);
             if (now_ >= stop)
                 break;
@@ -1716,9 +1719,11 @@ MultithreadedProcessor::runUntil(Cycle stop)
         }
     }
     // The counters returned must include the attempts sleeping
-    // slots skipped so far; the slots themselves sleep on.
-    for (Slot &slot : slots_)
-        creditSleep(slot);
+    // slots skipped so far (the slots themselves sleep on), and this
+    // call's stall increments.
+    for (std::uint64_t m = asleep_; m != 0; m &= m - 1)
+        creditSleep(std::countr_zero(m));
+    publishStalls();
     if (!finished_ && now_ >= cfg_.max_cycles) {
         stats_.cycles = cfg_.max_cycles;
         stats_.finished = false;
@@ -1746,12 +1751,14 @@ MultithreadedProcessor::setEventSink(obs::EventSink *sink)
 void
 MultithreadedProcessor::emitRing(Cycle c)
 {
+    std::array<int, kMaxSlots> order;
+    for (int i = 0; i < cfg_.num_slots; ++i)
+        order[i] = (ring_top_ + i) % cfg_.num_slots;
     obs::Event ev;
     ev.cycle = c;
     ev.kind = obs::EventKind::RingState;
-    ev.unit = static_cast<std::int16_t>(ring_.size());
-    ev.a = obs::packRing(ring_.data(),
-                         static_cast<int>(ring_.size()));
+    ev.unit = static_cast<std::int16_t>(cfg_.num_slots);
+    ev.a = obs::packRing(order.data(), cfg_.num_slots);
     sink_->event(ev);
 }
 

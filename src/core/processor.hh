@@ -229,18 +229,15 @@ class MultithreadedProcessor
     {
         CtxState state = CtxState::Unused;
         Addr resume_pc = 0;
+        /** Registers mapped onto the queue ring as flatReg() bits:
+         *  the read (pop) side and the write (push) side, at most
+         *  one integer register (never r0, QEN) and one FP register
+         *  (QENF) each. Every decode attempt reads them, so they
+         *  share a cache line with the low registers. */
+        std::uint64_t q_reads = 0, q_writes = 0;
         std::array<std::uint32_t, kNumRegs> iregs{};
         std::array<double, kNumRegs> fregs{};
-        std::optional<RegIndex> q_read_int, q_write_int;
-        std::optional<RegIndex> q_read_fp, q_write_fp;
         std::vector<ReplayEntry> replay;
-
-        /** Any register mapped onto the queue ring? */
-        bool
-        queueMapped() const
-        {
-            return q_read_int || q_write_int || q_read_fp || q_write_fp;
-        }
 
         Cycle ready_at = 0;
         /** Remote line now present; next access to it hits. */
@@ -277,8 +274,21 @@ class MultithreadedProcessor
         kNumStalls
     };
 
-    /** Stall-counter increments of one decode attempt. */
-    using StallCounts = std::array<std::uint32_t, kNumStalls>;
+    /**
+     * Stall-counter increments of one decode attempt, packed: cause
+     * k in bits 8k..8k+7. Each increment comes from another window
+     * entry, so a field cannot overflow for windows of up to 255
+     * entries; a slot with a larger window never sleeps.
+     */
+    using StallCounts = std::uint64_t;
+    /** Count one stall of cause @p k, in the run call's counters
+     *  and in the attempt's packed @p attempt. */
+    void
+    countStall(StallCounts &attempt, Stall k)
+    {
+        ++stalls_[k];
+        attempt += StallCounts{1} << (8 * k);
+    }
 
     /**
      * Instruction queue unit: fetched addresses in a fixed-capacity
@@ -360,19 +370,20 @@ class MultithreadedProcessor
     {
         int frame = -1;             ///< bound context, -1 = free
         bool trap_pending = false;  ///< draining for a switch-out
+        /** Bit c is set while schedule unit c holds an op of this
+         *  slot, arriving or parked (at most one: the station is
+         *  depth 1). Derived: restore rebuilds it. */
+        std::uint8_t ungranted = 0;
 
-        /**
-         * Sleeping (fast-forward only, docs/PERF.md): the last decode
-         * attempt issued nothing and cannot change before wake_at
-         * unless a wake event (fetch delivery into window space,
-         * flush, bind, or an own grant when wake_on_grant) arrives
-         * first. A grant that writes a watched scoreboard entry
-         * pulls wake_at in to the new clear cycle. Each skipped
-         * attempt would have repeated sleep_stalls; they are
-         * credited to the counters in bulk, counted from
-         * slept_through.
-         */
-        bool asleep = false;
+        // While the slot sleeps (its bit in asleep_, fast-forward
+        // only, docs/PERF.md): the last decode attempt issued
+        // nothing and cannot change before wake_at unless a wake
+        // event (fetch delivery into window space, flush, bind, or
+        // an own grant when wake_on_grant) arrives first. A grant
+        // that writes a watched scoreboard entry pulls wake_at in to
+        // the new clear cycle. Each skipped attempt would have
+        // repeated sleep_stalls; they are credited to the counters
+        // in bulk, counted from slept_through.
         /** The attempt was blocked by the class mask, which any own
          *  grant changes. */
         bool wake_on_grant = false;
@@ -382,7 +393,7 @@ class MultithreadedProcessor
         /** While asleep: the last cycle whose attempt was made or
          *  credited. */
         Cycle slept_through = 0;
-        StallCounts sleep_stalls{};
+        StallCounts sleep_stalls = 0;
 
         InsnQueue iqueue;           ///< instruction queue unit
         Addr fetch_addr = 0;        ///< next address to fetch
@@ -393,11 +404,6 @@ class MultithreadedProcessor
          *  flatReg() (integer r0, hardwired, stays 0); kNeverCycle
          *  while the producing instruction waits to be granted. */
         std::array<Cycle, 2 * kNumRegs> sb{};
-
-        /** Bit c is set while schedule unit c holds an op of this
-         *  slot, incoming or in standby (at most one: the station
-         *  is depth 1). Derived: restore rebuilds it. */
-        std::uint8_t ungranted = 0;
 
         /** One {clear-cycle, count} bin of the write-back conflict
          *  tracker (each bank has one write port). */
@@ -465,9 +471,9 @@ class MultithreadedProcessor
      *  derived fields — per slot its class mask, per link its
      *  reservations (pending pushes plus ungranted queue writes),
      *  the slot masks, the open frames and each event source's next
-     *  event — per slot its fetches in flight, and the next event
-     *  cycle by a full scan of the state, sleep-unaware and
-     *  sleep-aware. */
+     *  event — per slot its fetches in flight, the sleepers' earliest
+     *  wake_at, and the next event cycle by a full scan of the
+     *  state, sleep-unaware and sleep-aware. */
     struct Derived
     {
         std::vector<std::uint8_t> ungranted;
@@ -478,6 +484,7 @@ class MultithreadedProcessor
         Cycle push_next = kNeverCycle;
         Cycle remote_next = kNeverCycle;
         Cycle units_next = kNeverCycle;
+        Cycle wake_next = kNeverCycle;
         Cycle next_event = kNeverCycle;
         Cycle next_event_asleep = kNeverCycle;
     };
@@ -488,8 +495,26 @@ class MultithreadedProcessor
 
     /** Slot @p s's bits of the slot masks, from its own state. */
     SlotMasks slotMasks(int s) const;
+    /** Is slot @p s sleeping? */
+    bool
+    asleep(int s) const
+    {
+        return ((asleep_ >> s) & 1) != 0;
+    }
     /** Bring slot @p s's mask bits up to date after it changed. */
     void refreshSlot(int s);
+    /** The same for a live slot whose queue space or fetch address
+     *  changed: only its wants-fetch bit can. */
+    void
+    refreshFetch(int s)
+    {
+        const Slot &slot = slots_[s];
+        const std::uint64_t bit = std::uint64_t{1} << s;
+        masks_.wants_fetch =
+            slot.iqueue.space() > 0 && slot.fetch_addr < prog_.textEnd()
+                ? masks_.wants_fetch | bit
+                : masks_.wants_fetch & ~bit;
+    }
     /** Slots with no bound context. */
     std::uint64_t
     freeSlots() const
@@ -534,10 +559,11 @@ class MultithreadedProcessor
     /** D2: try to issue from the window. @return true when the
      *  attempt issued nothing and the slot may sleep (wake_at set). */
     bool issueWindow(int slot_id, Cycle c);
-    ControlOutcome handleControl(int slot_id,
+    ControlOutcome handleControl(int slot_id, Context &ctx,
                                  const WindowEntry &entry, Cycle c,
                                  StallCounts &stalls);
-    OperandValues readOperands(int slot_id, const Insn &insn);
+    OperandValues readOperands(int slot_id, Context &ctx,
+                               const Insn &insn);
     bool operandsReady(int slot_id, const Context &ctx,
                        const CoreOp &op, Cycle c,
                        std::uint64_t pending_writes) const;
@@ -547,18 +573,31 @@ class MultithreadedProcessor
 
     // sleeping slots (docs/PERF.md)
     /** Add @p times repetitions of @p stalls to the counters. */
-    void addStalls(const StallCounts &stalls, std::uint64_t times);
+    void addStalls(StallCounts stalls, std::uint64_t times);
     /** Credit the slot's skipped attempts through now_ (end of a
      *  run call); it stays asleep. */
-    void creditSleep(Slot &slot);
+    void creditSleep(int slot_id);
     /** Credit and wake, before the slot's decode turn in now_: its
      *  next decodeSlot makes a real attempt. */
-    void wakeSlot(Slot &slot);
+    void
+    wakeSlot(int slot_id)
+    {
+        if (asleep(slot_id))
+            wakeSleeper(slot_id);
+    }
+    void wakeSleeper(int slot_id);
+    /** Wake the sleepers whose wake_at has come by @p c, and bring
+     *  wake_next_ up to the rest. */
+    void wakeDue(Cycle c);
+    /** Add the stall increments of this run call to detail_ and
+     *  RunStats::standby_stalls. */
+    void publishStalls();
 
     // grant-time execution
-    void performGrant(const Grant &grant, Cycle c);
-    void writeResult(int slot_id, const IssuedOp &op, bool is_fp,
-                     std::uint32_t ival, double fval, Cycle c);
+    void performGrant(const IssuedOp &op, int unit, Cycle c);
+    void writeResult(Slot &slot, Context &ctx, const IssuedOp &op,
+                     bool is_fp, std::uint32_t ival, double fval,
+                     Cycle c);
     void takeRemoteTrap(const IssuedOp &op, Cycle c, Addr addr);
 
     // verified trace replay
@@ -592,10 +631,8 @@ class MultithreadedProcessor
 
     // priority
     bool hasTopPriority(int slot_id) const;
-    void rotateRing();
-
-    Context &ctxOf(int slot_id);
-    const Context &ctxOf(int slot_id) const;
+    /** Rotate the ring by @p by places: slot top+by leads. */
+    void rotateRing(std::uint64_t by);
 
     const Program &prog_;
     MainMemory &mem_;
@@ -612,8 +649,13 @@ class MultithreadedProcessor
     QueueRing ring_regs_;
     std::vector<PendingPush> pending_pushes_;
 
-    /** Thread-slot priority order, highest first. */
-    std::vector<int> ring_;
+    /**
+     * Thread-slot priority order, highest first: ring_top_,
+     * ring_top_+1, ..., num_slots-1, then 0 up to ring_top_-1. Every
+     * rotation keeps the ring a rotation of the slots, so its
+     * offset is the whole of it.
+     */
+    int ring_top_ = 0;
     bool rotate_requested_ = false;
     RotationMode rotation_mode_;
     int rotation_interval_;
@@ -638,10 +680,6 @@ class MultithreadedProcessor
     /** Emit a state snapshot at the next run()/runUntil() entry. */
     bool snapshot_pending_ = false;
 
-    /** One schedule unit's grants of a cycle, with room for the
-     *  largest unit class. */
-    std::vector<Grant> grants_;
-
     // ----- derived state (rebuilt on restore, docs/PERF.md) -------
     SlotMasks masks_;
     /** Frames Ready, Running or WaitRemote: the run is not done. */
@@ -652,6 +690,12 @@ class MultithreadedProcessor
     Cycle remote_next_ = kNeverCycle;
     /** Earliest schedule-unit event (latch or grant). */
     Cycle units_next_ = kNeverCycle;
+    /** Sleeping slots, whose Slot sleep fields hold their attempt.
+     *  Not state either: a restore wakes every slot. */
+    std::uint64_t asleep_ = 0;
+    /** At or before every sleeper's wake_at: decodePhase scans the
+     *  sleepers only once it is due. */
+    Cycle wake_next_ = kNeverCycle;
 
     /**
      * Issue-path stall counters, indexed by Stall, resolved once at
@@ -659,6 +703,9 @@ class MultithreadedProcessor
      * unchanged (std::map node references are stable).
      */
     std::array<std::uint64_t *, kNumStalls> stall_{};
+    /** Stall increments of the current run call, by Stall;
+     *  publishStalls() moves them to stall_ before it returns. */
+    std::array<std::uint64_t, kNumStalls> stalls_{};
 
     /** Emit the synthetic machine-state events a fresh stream
      *  needs to be self-contained (snapshot, ring, binds, queue

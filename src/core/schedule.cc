@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "asmr/program.hh"
-#include "base/logging.hh"
 #include "base/serial.hh"
 
 namespace smtsim
@@ -11,141 +10,86 @@ namespace smtsim
 
 ScheduleUnit::ScheduleUnit(FuClass cls, int num_units, int num_slots)
     : cls_(cls), units_(static_cast<size_t>(num_units), 0),
-      standby_(static_cast<size_t>(num_slots))
+      stations_(static_cast<size_t>(num_slots))
 {
-}
-
-bool
-ScheduleUnit::slotBusy(int slot) const
-{
-    if (standby_[slot].has_value())
-        return true;
-    for (const IssuedOp &op : incoming_) {
-        if (op.slot == slot)
-            return true;
-    }
-    return false;
-}
-
-void
-ScheduleUnit::submit(IssuedOp op)
-{
-    SMTSIM_ASSERT(!slotBusy(op.slot),
-                  "double submit to one standby station");
-    next_event_ = std::min(next_event_, op.arrive);
-    incoming_.push_back(std::move(op));
-}
-
-std::span<Grant>
-ScheduleUnit::select(Cycle c, std::span<const int> priority_order,
-                     std::span<Grant> out)
-{
-    SMTSIM_ASSERT(out.size() >= units_.size(),
-                  "grant buffer smaller than the unit count");
-    std::size_t granted = 0;
-
-    // Latch newly arriving instructions into their standby stations
-    // (the rest keep their order).
-    std::size_t keep = 0;
-    for (IssuedOp &op : incoming_) {
-        if (op.arrive > c) {
-            incoming_[keep++] = std::move(op);
-            continue;
-        }
-        SMTSIM_ASSERT(!standby_[op.slot].has_value(),
-                      "standby station collision");
-        if (sink_) {
-            obs::Event ev;
-            ev.cycle = c;
-            ev.kind = obs::EventKind::Park;
-            ev.slot = static_cast<std::int8_t>(op.slot);
-            ev.fu = static_cast<std::int8_t>(cls_);
-            ev.pc = op.pc;
-            ev.insn = encode(op.insn);
-            sink_->event(ev);
-        }
-        standby_[op.slot] = std::move(op);
-        ++standby_occupied_;
-    }
-    incoming_.resize(keep);
-
-    // Grant in priority order while units can accept.
-    for (int slot : priority_order) {
-        if (standby_occupied_ == 0)
-            break;
-        if (!standby_[slot].has_value())
-            continue;
-        int unit = -1;
-        for (size_t u = 0; u < units_.size(); ++u) {
-            if (units_[u] <= c) {
-                unit = static_cast<int>(u);
-                break;
-            }
-        }
-        if (unit < 0)
-            break;      // every unit busy: lower priorities wait too
-        IssuedOp op = std::move(*standby_[slot]);
-        standby_[slot].reset();
-        --standby_occupied_;
-        units_[unit] =
-            c + static_cast<Cycle>(opMeta(op.insn.op).issue_latency);
-        out[granted++] = Grant{std::move(op), unit};
-    }
-    updateNextEvent();
-    return out.first(granted);
+    SMTSIM_ASSERT(num_slots <= 64, "slot sets are 64-bit masks");
 }
 
 Cycle
 ScheduleUnit::computeNextEvent() const
 {
     Cycle ev = kNeverCycle;
-    if (standby_occupied_ > 0) {
-        // A waiting instruction is granted as soon as any unit
-        // frees up (select() never leaves a unit idle while a
-        // standby station is occupied, so the free times here are
-        // all in the future).
+    if (parked_ != 0) {
+        // A parked instruction is granted as soon as any unit frees
+        // up (select() never leaves a unit idle while a station is
+        // parked, so the free times here are all in the future).
         for (Cycle u : units_)
             ev = std::min(ev, u);
     }
-    // Arrival latches an instruction into its standby station.
-    for (const IssuedOp &op : incoming_)
-        ev = std::min(ev, op.arrive);
+    // Arrival latches the arriving instructions into their stations.
+    if (arriving_ != 0)
+        ev = std::min(ev, arrive_at_);
     return ev;
 }
 
-int
-ScheduleUnit::countOccupied() const
+std::string
+ScheduleUnit::consistency(Cycle now) const
 {
-    return static_cast<int>(
-        std::count_if(standby_.begin(), standby_.end(),
-                      [](const auto &op) { return op.has_value(); }));
+    const std::uint64_t all = ~std::uint64_t{0} >> (64 - stations_.size());
+    if ((parked_ & arriving_) != 0 || ((parked_ | arriving_) & ~all) != 0)
+        return "station both parked and arriving, or out of range";
+    if (arrival_top_ < 0 ||
+        arrival_top_ >= static_cast<int>(stations_.size()))
+        return "arrival order out of range";
+    std::string why;
+    for (std::uint64_t m = parked_ | arriving_; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        const IssuedOp &op = stations_[s];
+        const bool arriving = (arriving_ >> s) & 1;
+        if (op.slot != s)
+            why = "station " + std::to_string(s) + " holds slot " +
+                  std::to_string(op.slot) + "'s op";
+        else if (arriving ? op.arrive != arrive_at_ || op.arrive != now + 1
+                          : op.arrive > now)
+            why = "slot " + std::to_string(s) + "'s op arrives at " +
+                  std::to_string(op.arrive) + " but is " +
+                  (arriving ? "arriving" : "parked");
+        if (!why.empty())
+            return why;
+    }
+    if (next_event_ != computeNextEvent())
+        return "next event out of date";
+    return why;
+}
+
+void
+ScheduleUnit::emitPark(obs::EventSink &sink, int slot, Cycle c) const
+{
+    obs::Event ev;
+    ev.cycle = c;
+    ev.kind = obs::EventKind::Park;
+    ev.slot = static_cast<std::int8_t>(slot);
+    ev.fu = static_cast<std::int8_t>(cls_);
+    ev.pc = stations_[slot].pc;
+    ev.insn = encode(stations_[slot].insn);
+    sink.event(ev);
 }
 
 void
 ScheduleUnit::snapshotTo(obs::EventSink &sink, Cycle c) const
 {
-    for (std::size_t s = 0; s < standby_.size(); ++s) {
-        if (!standby_[s].has_value())
-            continue;
-        obs::Event ev;
-        ev.cycle = c;
-        ev.kind = obs::EventKind::Park;
-        ev.slot = static_cast<std::int8_t>(s);
-        ev.fu = static_cast<std::int8_t>(cls_);
-        ev.pc = standby_[s]->pc;
-        ev.insn = encode(standby_[s]->insn);
-        sink.event(ev);
-    }
+    for (std::uint64_t m = parked_; m != 0; m &= m - 1)
+        emitPark(sink, std::countr_zero(m), c);
 }
 
 template <class Ar, class Self>
 void
 ScheduleUnit::transfer(Ar &ar, Self &su, const PredecodedText &text)
 {
-    const int nslots = static_cast<int>(su.standby_.size());
-    // Slots holding an op, to reject a second op bound for one
-    // station.
-    std::vector<bool> busy(su.standby_.size());
+    const int nslots = static_cast<int>(su.stations_.size());
+    // An op read back must be the program's own instruction, in a
+    // slot with no op yet.
+    std::uint64_t busy = 0;
     auto issued = [&](auto &op) {
         ar("op", op);
         if constexpr (Ar::kLoading) {
@@ -153,36 +97,55 @@ ScheduleUnit::transfer(Ar &ar, Self &su, const PredecodedText &text)
             ar.check(c != nullptr && c->insn == op.insn,
                      "issued op does not match the program text");
             ar.check(op.slot >= 0 && op.slot < nslots &&
-                         !busy[op.slot],
+                         !((busy >> op.slot) & 1),
                      "issued op in a bad or busy slot");
-            busy[op.slot] = true;
+            busy |= std::uint64_t{1} << op.slot;
             op.dst = c->dst;
         }
     };
 
     ar.shape("schedule-unit unit", su.units_,
              [&](auto &free_at) { ar("free_at", free_at); });
+    if constexpr (Ar::kLoading) {
+        su.parked_ = 0;
+        su.arriving_ = 0;
+    }
     int station = 0;
-    ar.shape("standby station", su.standby_, [&](auto &op) {
-        bool occupied = op.has_value();
+    ar.shape("standby station", su.stations_, [&](auto &op) {
+        bool occupied = (su.parked_ >> station) & 1;
         ar("occupied", occupied);
-        if constexpr (Ar::kLoading) {
-            op.reset();
-            if (occupied)
-                op.emplace();
-        }
         if (occupied) {
-            issued(*op);
-            ar.check(op->slot == station,
+            issued(op);
+            ar.check(op.slot == station,
                      "standby op in another slot's station");
+            if constexpr (Ar::kLoading)
+                su.parked_ |= std::uint64_t{1} << station;
         }
         ++station;
     });
-    ar.list("incoming op", su.incoming_, issued);
-    if constexpr (Ar::kLoading) {
-        su.standby_occupied_ = su.countOccupied();
-        su.updateNextEvent();
+
+    // The arriving ops, in arrival order: ring order from the first.
+    std::vector<IssuedOp> incoming;
+    if constexpr (!Ar::kLoading) {
+        forEachSlot(su.arriving_, su.arrival_top_,
+                    [&](int s) { incoming.push_back(su.stations_[s]); });
     }
+    int rank = -1;  // ring distance of the last from the first
+    ar.list("incoming op", incoming, [&](auto &op) {
+        issued(op);
+        if constexpr (Ar::kLoading) {
+            const int first = incoming.front().slot;
+            const int at = (op.slot - first + nslots) % nslots;
+            ar.check(at > rank, "incoming ops out of ring order");
+            rank = at;
+            su.arrival_top_ = first;
+            su.arrive_at_ = op.arrive;
+            su.arriving_ |= std::uint64_t{1} << op.slot;
+            su.stations_[op.slot] = op;
+        }
+    });
+    if constexpr (Ar::kLoading)
+        su.next_event_ = su.computeNextEvent();
 }
 
 template void ScheduleUnit::transfer(SaveArchive &, const ScheduleUnit &,
@@ -193,16 +156,10 @@ template void ScheduleUnit::transfer(LoadArchive &, ScheduleUnit &,
 void
 ScheduleUnit::flushSlot(int slot)
 {
-    if (standby_[slot].has_value())
-        --standby_occupied_;
-    standby_[slot].reset();
-    for (auto it = incoming_.begin(); it != incoming_.end();) {
-        if (it->slot == slot)
-            it = incoming_.erase(it);
-        else
-            ++it;
-    }
-    updateNextEvent();
+    const std::uint64_t keep = ~(std::uint64_t{1} << slot);
+    parked_ &= keep;
+    arriving_ &= keep;
+    next_event_ = computeNextEvent();
 }
 
 } // namespace smtsim

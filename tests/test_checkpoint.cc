@@ -651,6 +651,19 @@ TEST(CheckpointHostile, PriorityRingMustBeAPermutation)
     d.expectRejected(d.layout.ring[2], 4, "not a permutation");
 }
 
+TEST(CheckpointHostile, PriorityRingNotARotation)
+{
+    // Every rotation keeps the ring a rotation of the slots, so a
+    // permutation that is not one ({a, c, b, d}) was never saved.
+    const Doctor d;
+    ASSERT_EQ(d.layout.ring.size(), 4u);
+    std::string bad = d.blob;
+    bad.replace(d.layout.ring[1], 4, d.blob, d.layout.ring[2], 4);
+    bad.replace(d.layout.ring[2], 4, d.blob, d.layout.ring[1], 4);
+    EXPECT_EQ(d.restore(bad),
+              "checkpoint: priority ring is not a rotation of the slots");
+}
+
 TEST(CheckpointHostile, ReadyFrameOutOfRange)
 {
     // One slot, three frames: spawned contexts queue for the slot.

@@ -1,5 +1,6 @@
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -304,6 +305,107 @@ out:    .word 0, 0
     EXPECT_TRUE(s.finished);
     EXPECT_EQ(mem.read32(kDefaultDataBase + 8), 7u);
     EXPECT_DOUBLE_EQ(mem.readDouble(kDefaultDataBase + 16), 2.5);
+}
+
+// ----------------------------------------------------------------
+// Decode-phase visits: fast-forward on and off agree where a slot
+// changes state in the middle of a decode phase
+// ----------------------------------------------------------------
+
+namespace
+{
+
+/** Run @p source with fast-forward on and off; RunStats, detail()
+ *  and every frame's registers must agree. */
+void
+expectFastForwardTwins(const std::string &source, CoreConfig cfg,
+                       const std::string &what)
+{
+    cfg.max_cycles = 20'000;
+    Machine on(source), off(source);
+    cfg.fast_forward = true;
+    MultithreadedProcessor ff(on.prog, on.mem, cfg);
+    const RunStats sf = ff.run();
+    cfg.fast_forward = false;
+    MultithreadedProcessor nv(off.prog, off.mem, cfg);
+    const RunStats sn = nv.run();
+    EXPECT_TRUE(sf.finished) << what;
+    EXPECT_EQ(sf, sn) << what;
+    EXPECT_EQ(ff.detail().all(), nv.detail().all()) << what;
+    for (int f = 0; f < cfg.frames(); ++f) {
+        for (RegIndex r = 0; r < kNumRegs; ++r) {
+            ASSERT_EQ(ff.intReg(f, r), nv.intReg(f, r))
+                << what << ", frame " << f << ", r" << int{r};
+            ASSERT_EQ(ff.fpReg(f, r), nv.fpReg(f, r))
+                << what << ", frame " << f << ", f" << int{r};
+        }
+    }
+}
+
+} // namespace
+
+TEST(CoreDecodeVisits, KilltWhileALowerSlotsWakeIsDue)
+{
+    // The workers sleep on a multiply result in every iteration;
+    // slot 0 kills them once it holds the top priority. Over the
+    // paddings and rotation intervals its KILLT issues in a dozen
+    // cycles where a worker's wake_at has come, so a slot woken at
+    // the start of the decode phase is killed before its turn.
+    for (int pad = 0; pad < 40; ++pad) {
+        std::string nops;
+        for (int i = 0; i < pad; ++i)
+            nops += "        nop\n";
+        const std::string source = R"(
+main:   fastfork
+        tid  r1
+        bne  r1, r0, work
+)" + nops + R"(
+        killt
+        addi r5, r0, 7
+        halt
+work:   addi r2, r1, 3
+loop:   mul  r3, r2, r2
+        add  r4, r3, r1
+        addi r2, r2, 1
+        j    loop
+)";
+        for (int interval : {5, 7, 8}) {
+            CoreConfig cfg;
+            cfg.num_slots = 4;
+            cfg.rotation_interval = interval;
+            expectFastForwardTwins(source, cfg,
+                                   "pad " + std::to_string(pad) +
+                                       ", rotation interval " +
+                                       std::to_string(interval));
+        }
+    }
+}
+
+TEST(CoreDecodeVisits, FastforkBindsSlotsLaterInRingOrder)
+{
+    // The fork comes at different ring offsets, so it binds slots
+    // both after and before the forking slot in the decode phase's
+    // ring order; the ones after it are not visited in that phase.
+    for (int slots : {3, 4, 8}) {
+        for (int pad = 0; pad < 20; ++pad) {
+            std::string nops;
+            for (int i = 0; i < pad; ++i)
+                nops += "        nop\n";
+            const std::string source = "main:\n" + nops + R"(
+        fastfork
+        tid  r1
+        addi r2, r1, 1
+        mul  r3, r2, r2
+        add  r4, r3, r1
+        halt
+)";
+            CoreConfig cfg;
+            cfg.num_slots = slots;
+            expectFastForwardTwins(source, cfg,
+                                   std::to_string(slots) + " slots, pad " +
+                                       std::to_string(pad));
+        }
+    }
 }
 
 TEST(CoreConfigValidation, BadShapesRejected)
